@@ -10,6 +10,7 @@ checked property holds, 1 means it fails (with a witness in the report),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -35,7 +36,9 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quivsheaf",
         description="Validate quivers, audit Grothendieck topologies and "
@@ -233,9 +236,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code else EXIT_HOLDS

@@ -120,7 +120,8 @@ def _functor_from_json(q: Quiver, data, wanted_kind: str):
     if not isinstance(dims, dict) or not isinstance(maps, dict):
         raise ParseError("'dims' and 'maps' must be JSON objects")
     for v in q.vertices:
-        if not isinstance(dims.get(v), int) or dims[v] < 0:
+        # bool is a subclass of int, so JSON true/false must be excluded by type
+        if type(dims.get(v)) is not int or dims[v] < 0:
             raise ParseError(f"missing or bad dimension for vertex {v!r}")
     edge_maps = {}
     for e in q.edges:

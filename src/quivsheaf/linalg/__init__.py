@@ -1,6 +1,5 @@
 """Exact rational linear algebra: matrices, maps, diagram limits/colimits."""
 
-from .backend import backend_name
 from .diagram import DiagramOfSpaces, colimit, limit
 from .matrix import (
     LinearMap,
@@ -37,3 +36,8 @@ __all__ = [
     "solve",
     "transpose_map",
 ]
+
+
+def backend_name() -> str:
+    """The elimination kernel in use; there is one, in pure Python."""
+    return "python"

@@ -1,8 +1,9 @@
 """Exact rational matrices and the linear-algebra decisions built on them.
 
-All arithmetic is over ``fractions.Fraction``, so rank, solvability and
-isomorphism questions are decided exactly.  Matrices with zero rows or
-zero columns are legal and represent maps to or from the zero space.
+Entries are ``fractions.Fraction`` and every decision is exact: rank,
+solvability and isomorphism questions are decided by the integer kernel
+in ``_kernels_py``, which builds Fractions only for the entries a result
+holds.  Matrices with zero rows or zero columns are legal and represent maps to or from the zero space.
 Values are immutable after construction and every operation is pure.
 """
 
@@ -10,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
-from .backend import kernels
+from . import _kernels_py as kernel
+from ._kernels_py import ONE, ZERO
 
 Scalar = Fraction
 
@@ -48,23 +51,16 @@ class Matrix:
                 raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
-        entries = tuple(frac(x) for r in grid for x in r)
-        return cls(len(grid), width, entries)
+        return cls(len(grid), width, tuple(map(frac, chain.from_iterable(grid))))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls(rows, cols, (ZERO,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        entries = tuple(one if i == j else zero for i in range(n) for j in range(n))
+        entries = tuple(ONE if i == j else ZERO for i in range(n) for j in range(n))
         return cls(n, n, entries)
-
-    @classmethod
-    def column(cls, values: Sequence) -> "Matrix":
-        vec = as_vector(values)
-        return cls(len(vec), 1, vec)
 
     @classmethod
     def stack_rows(cls, blocks: Sequence["Matrix"], cols: int) -> "Matrix":
@@ -97,23 +93,15 @@ class Matrix:
         )
         return Matrix(self.cols, self.rows, entries)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in column stack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return Matrix.from_rows(rows, self.cols + other.cols)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.rows == 0 or other.cols == 0:
+        if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zero(self.rows, other.cols)
-        if self.cols == 0:
-            return Matrix.zero(self.rows, other.cols)
-        grid = kernels.matmul(self.to_rows(), other.to_rows(), other.cols)
-        return Matrix.from_rows(grid, other.cols)
+        grid = kernel.matmul(self.to_rows(), other.to_rows(), other.cols)
+        return Matrix(self.rows, other.cols, tuple(chain.from_iterable(grid)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -145,25 +133,30 @@ class Matrix:
 
 def rref(m: Matrix) -> tuple:
     """Reduced row echelon form of ``m`` with its pivot columns."""
-    grid, pivots = kernels.rref_pivots(m.to_rows(), m.cols)
-    return Matrix.from_rows(grid, m.cols), tuple(pivots)
+    grid, pivots = kernel.rref_pivots(m.to_rows(), m.cols)
+    return Matrix(m.rows, m.cols, tuple(chain.from_iterable(grid))), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """Number of pivots, counted without building any Fraction."""
+    if m.rows == 1 or m.cols == 1:
+        return 1 if any(m.entries) else 0
+    return len(kernel.reduce_rows(kernel.integer_rows(m.to_rows()), m.cols, above=False))
 
 
 def kernel_basis(m: Matrix) -> list:
     """Basis of the null space of ``m`` as a list of tuples; [] when injective."""
-    reduced, pivots = rref(m)
+    reduced = kernel.integer_rows(m.to_rows())
+    pivots = kernel.reduce_rows(reduced, m.cols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced.entry(r, f)
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        vec = [ZERO] * m.cols
+        vec[f] = ONE
+        for row, p in zip(reduced, pivots):
+            vec[p] = kernel.fraction(-row[f], row[p])
         basis.append(tuple(vec))
     return basis
 
@@ -173,13 +166,14 @@ def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
     vec = as_vector(b)
     if len(vec) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    augmented = m.hstack(Matrix.column(vec))
-    reduced, pivots = rref(augmented)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    reduced = kernel.integer_rows([row + [x] for row, x in zip(m.to_rows(), vec)])
+    pivots = kernel.reduce_rows(reduced, n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entry(r, m.cols)
+    x = [ZERO] * n
+    for row, p in zip(reduced, pivots):
+        x[p] = kernel.fraction(row[n], row[p])
     return tuple(x)
 
 
@@ -187,12 +181,13 @@ def inverse(m: Matrix) -> Matrix:
     """Inverse of a square full-rank matrix; raises ValueError otherwise."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
-    augmented = m.hstack(Matrix.identity(m.rows))
-    reduced, pivots = rref(augmented)
-    if len(pivots) != m.rows or any(p >= m.rows for p in pivots):
+    n = m.rows
+    identity = Matrix.identity(n).to_rows()
+    reduced = kernel.integer_rows([row + unit for row, unit in zip(m.to_rows(), identity)])
+    if kernel.reduce_rows(reduced, 2 * n) != list(range(n)):
         raise ValueError("matrix is singular")
-    rows = [list(reduced.row(i))[m.rows :] for i in range(m.rows)]
-    return Matrix.from_rows(rows, m.rows)
+    entries = tuple(kernel.fraction(row[j], row[i]) for i, row in enumerate(reduced) for j in range(n, 2 * n))
+    return Matrix(n, n, entries)
 
 
 @dataclass(frozen=True)

@@ -134,32 +134,33 @@ def validate(q: Quiver) -> ValidationReport:
 
 
 def _find_directed_cycle(q: Quiver) -> Optional[tuple]:
+    """First directed cycle met by depth-first search in vertex and edge
+    order, as (v, ..., v); iterative, so long chains cannot overflow."""
     WHITE, GREY, BLACK = 0, 1, 2
     color = {v: WHITE for v in q.vertices}
     out = {v: [] for v in q.vertices}
     for e in q.edges:
         out[e.src].append(e.dst)
 
-    def dfs(v, stack):
-        color[v] = GREY
-        stack.append(v)
-        for w in out[v]:
-            if color[w] == GREY:
-                i = stack.index(w)
-                return tuple(stack[i:] + [w])
-            if color[w] == WHITE:
-                found = dfs(w, stack)
-                if found:
-                    return found
-        stack.pop()
-        color[v] = BLACK
-        return None
-
-    for v in q.vertices:
-        if color[v] == WHITE:
-            found = dfs(v, [])
-            if found:
-                return found
+    for root in q.vertices:
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        stack = [root]
+        pending = [iter(out[root])]
+        while pending:
+            for w in pending[-1]:
+                if color[w] == GREY:
+                    i = stack.index(w)
+                    return tuple(stack[i:] + [w])
+                if color[w] == WHITE:
+                    color[w] = GREY
+                    stack.append(w)
+                    pending.append(iter(out[w]))
+                    break
+            else:
+                pending.pop()
+                color[stack.pop()] = BLACK
     return None
 
 

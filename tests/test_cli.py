@@ -2,9 +2,13 @@
 JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quivsheaf
 from quivsheaf.cli import main
 
 from helpers import abc_quiver, parallel_quiver
@@ -207,3 +211,42 @@ def test_json_reports_are_byte_identical(files, capsys):
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_boolean_dims_are_a_parse_error(tmp_path, capsys):
+    quiver = tmp_path / "q.json"
+    quiver.write_text(dumps_canonical({"vertices": ["a", "b"], "edges": [{"id": "e", "src": "a", "dst": "b"}]}))
+    presheaf = tmp_path / "f.json"
+    presheaf.write_text(
+        dumps_canonical({"kind": "presheaf", "dims": {"a": True, "b": True}, "maps": {"e": [["1"]]}})
+    )
+    rc = main(["check-sheaf", "--quiver", str(quiver), "--presheaf", str(presheaf), "--topology", "discrete"])
+    assert rc == 2
+    assert "bad dimension" in capsys.readouterr().err
+
+
+def test_commands_in_one_process_match_fresh_runs(files, tmp_path, capsys):
+    """The parser is built once per process; no command may leak state
+    into the next one."""
+    q = files["quiver.json"]
+    dual = str(tmp_path / "dual.json")
+    assert main(["dualize", "--quiver", q, "--representation", files["rep.json"], "--output", dual]) == 0
+    commands = [
+        ["check-sheaf", "--quiver", q, "--presheaf", files["const.json"], "--presheaf", dual, "--format", "json"],
+        ["check-sheaf", "--quiver", q, "--presheaf", dual, "--topology", "discrete", "--format", "json"],
+        ["functors", "--quiver", q, "--presheaf", dual, "--presheaf", files["const.json"], "--format", "json"],
+    ]
+    capsys.readouterr()
+    in_process = []
+    for argv in commands:
+        rc = main(argv)
+        in_process.append((rc, capsys.readouterr().out))
+    assert len(json.loads(in_process[1][1])["results"]) == 1
+
+    src = os.path.dirname(os.path.dirname(quivsheaf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, (rc, out) in zip(commands, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "quivsheaf.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (fresh.returncode, fresh.stdout) == (rc, out)

@@ -159,3 +159,19 @@ def test_slice_arrows_on_chain():
         ("e1.e2", "id:c", "e1.e2"),
         ("e1.e2", "e2", "e1"),
     }
+
+
+def test_long_chain_is_valid_without_recursion():
+    q = chain_quiver(1500)
+    assert validate(q).valid
+
+
+def test_long_cycle_is_reported_in_full():
+    n = 1500
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(f"e{i}", vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    report = validate(Quiver.build(vertices, edges))
+    assert not report.valid
+    (problem,) = report.problems
+    assert isinstance(problem, DirectedCycleError)
+    assert problem.cycle == tuple(vertices) + (vertices[0],)
