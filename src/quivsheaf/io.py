@@ -17,7 +17,7 @@ from typing import Optional
 from .linalg import LinearMap, Matrix
 from .presheaf import Presheaf, Representation
 from .quiver import Quiver, ValidationReport
-from .sheaf import CrossValidationReport, SectionFamily, SheafVerdict
+from .sheaf import SectionFamily, SheafVerdict
 from .sieves import AxiomReport, Sieve
 
 
@@ -229,13 +229,3 @@ def validation_report_to_json(report: ValidationReport) -> dict:
         ],
     }
 
-
-def cross_validation_to_json(report: CrossValidationReport) -> dict:
-    out = {
-        "criterion_holds": report.criterion_holds,
-        "definitional": verdict_to_json(report.definitional),
-        "agree": report.agree,
-    }
-    if report.separating_sieve is not None:
-        out["separating_sieve"] = sieve_to_json(report.separating_sieve)
-    return out

@@ -113,10 +113,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
-
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product (column-vector convention)."""
         v = as_vector(vec)

@@ -9,12 +9,18 @@ closed under composition.
 Morphisms are always enumerated in a canonical order (length first, then
 lexicographic edge ids) so downstream sieve enumeration and product
 indexing are reproducible bit for bit.
+
+The morphisms into a vertex v form a tree rooted at the identity: dropping
+the first edge of a path gives its parent, and the subtree under f is all
+f o g.  Paths are listed by walking that tree from v, without recursion,
+and the quiver holds them, so they are dropped with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from graphlib import TopologicalSorter
 from typing import Iterable, Optional, Tuple
 
 
@@ -84,9 +90,6 @@ class Quiver:
     def edges_into(self, v: str) -> tuple:
         return tuple(e for e in self.edges if e.dst == v)
 
-    def edges_out_of(self, v: str) -> tuple:
-        return tuple(e for e in self.edges if e.src == v)
-
     def vertex_index(self, v: str) -> int:
         try:
             return self.vertices.index(v)
@@ -98,6 +101,17 @@ class Quiver:
         if not report.valid:
             raise InvalidQuiverError("; ".join(str(p) for p in report.problems))
         return self
+
+    # Per-vertex tables (paths here, sieve tables in sieves.py), built on
+    # demand and held by the quiver so that they are dropped with it.
+    @cached_property
+    def _paths(self) -> dict:
+        self.require_valid()  # a cycle would make the path tree infinite
+        return {}
+
+    @cached_property
+    def _sieve_tables(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -206,35 +220,50 @@ def compose(p: PathMorphism, q: PathMorphism) -> PathMorphism:
     return PathMorphism(p.source, q.target, p.edges + q.edges)
 
 
-@lru_cache(maxsize=None)
-def _morphisms_into_cached(q: Quiver, v: str) -> tuple:
-    if not q.has_vertex(v):
-        raise UnknownVertexError(v)
-    paths = [identity_morphism(v)]
-    for e in q.edges_into(v):
-        step = edge_morphism(e)
-        for p in _morphisms_into_cached(q, e.src):
-            paths.append(compose(p, step))
-    paths.sort(key=PathMorphism.key)
-    return tuple(paths)
+def _paths_into(q: Quiver, v: str) -> tuple:
+    """The path tree into v, listed level by level, in canonical order."""
+    if v not in q._paths:
+        if not q.has_vertex(v):
+            raise UnknownVertexError(v)
+        into = {}
+        for e in q.edges:
+            into.setdefault(e.dst, []).append(e)
+        paths, level = [], [identity_morphism(v)]
+        while level:
+            paths += level
+            level = [PathMorphism(e.src, v, (e.id,) + p.edges) for p in level for e in into.get(p.source, ())]
+        q._paths[v] = tuple(sorted(paths, key=PathMorphism.key))
+    return q._paths[v]
 
 
 def morphisms_into(q: Quiver, v: str) -> list:
     """All paths with target v, identity included, in canonical order."""
-    return list(_morphisms_into_cached(q, v))
+    return list(_paths_into(q, v))
 
 
 def morphism_table(q: Quiver) -> dict:
     """Complete hom-sets keyed by (source, target), canonical order."""
     table = {(u, v): [] for u in q.vertices for v in q.vertices}
     for v in q.vertices:
-        for p in _morphisms_into_cached(q, v):
+        for p in _paths_into(q, v):
             table[(p.source, v)].append(p)
     return table
 
 
 def hom(q: Quiver, u: str, v: str) -> list:
-    return [p for p in _morphisms_into_cached(q, v) if p.source == u]
+    return [p for p in _paths_into(q, v) if p.source == u]
+
+
+def path_counts(q: Quiver) -> dict:
+    """Paths into each vertex of an acyclic quiver, identity included, counted
+    without listing any: 1 + the counts at the edges' sources, in O(V + E)."""
+    into = {v: [] for v in q.vertices}
+    for e in q.edges:
+        into[e.dst].append(e.src)
+    count = {}
+    for v in TopologicalSorter(into).static_order():
+        count[v] = 1 + sum(count[u] for u in into[v])
+    return count
 
 
 def connected_components(q: Quiver) -> list:
@@ -280,12 +309,15 @@ class SliceIndex:
 
 
 def slice_objects(q: Quiver, v: str) -> SliceIndex:
-    """Index category for the pointwise extension formula at v."""
-    objects = _morphisms_into_cached(q, v)
+    """Index category for the pointwise extension formula at v.
+
+    f' = f o g exactly when f is a suffix of f', so the arrows out of f'
+    come from its suffixes, shortest (the identity at v) first."""
+    objects = _paths_into(q, v)
+    position = {f.edges: j for j, f in enumerate(objects)}
     arrows = []
     for i, f_prime in enumerate(objects):
-        for j, f in enumerate(objects):
-            for g in hom(q, f_prime.source, f.source):
-                if compose(g, f) == f_prime:
-                    arrows.append((i, j, g))
+        for k in range(f_prime.length, -1, -1):
+            j = position[f_prime.edges[k:]]
+            arrows.append((i, j, PathMorphism(f_prime.source, objects[j].source, f_prime.edges[:k])))
     return SliceIndex(vertex=v, objects=objects, arrows=tuple(arrows))

@@ -20,6 +20,7 @@ from .sieves import (
     DEFAULT_SIEVE_LIMIT,
     Sieve,
     TopologySpec,
+    check_sieve,
     covering_sieves,
     generate_sieve,
 )
@@ -81,6 +82,7 @@ def section_map(F: Presheaf, s: Sieve) -> LinearMap:
 
 def _compatibility_matrix(F: Presheaf, s: Sieve) -> Matrix:
     q = F.quiver
+    check_sieve(q, s)  # raises NotASieveError for a set that is not closed
     offsets, total = _member_offsets(F, s)
     rows = []
     for f in s.sorted_members():
@@ -138,8 +140,8 @@ def is_sheaf_for_sieve(
     inside the compatibility space is asserted on every call; it holds by
     functoriality and a violation means a broken presheaf.
     """
-    eps = section_map(F, s)
     compat = _compatibility_matrix(F, s)
+    eps = section_map(F, s)
     if not (compat @ eps.matrix).is_zero():
         raise AssertionError(
             "section-map image escapes the compatibility space; "

@@ -2,23 +2,27 @@
 mechanized auditor for the Grothendieck axioms with counterexample
 extraction.
 
-Internally sieves on a vertex are bitmasks over the canonical morphism
-list, which keeps exhaustive enumeration and the transitivity audit cheap
-at desk scale.  The audit is exhaustive, never sampled; vertices whose
-morphism count exceeds the configured limit raise TooManyMorphismsError.
+The morphisms into a vertex form a tree (see quiver.py) and a sieve is a
+union of subtrees, held as a bitmask over the canonical morphism list and
+enumerated as such unions.  A covering policy becomes one mask test per
+morphism, which decides the pullback and transitivity axioms without
+pulling sieves back.  The audit is exhaustive, never sampled; a vertex with
+more morphisms than the limit raises TooManyMorphismsError before any path
+is listed.  The tables are held by the quiver and go with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .quiver import (
     PathMorphism,
     Quiver,
+    _paths_into,
     compose,
     morphisms_into,
+    path_counts,
 )
 
 DEFAULT_SIEVE_LIMIT = 14
@@ -48,6 +52,10 @@ class TooManyMorphismsError(SieveError):
 
 class InvalidTopologyError(SieveError):
     pass
+
+
+class NotASieveError(SieveError):
+    """A set of morphisms that is not closed under precomposition."""
 
 
 @dataclass(frozen=True)
@@ -177,35 +185,31 @@ class TopologySpec:
 
 
 class _VertexTable:
-    """Canonical morphism indexing and bitmask machinery for one vertex."""
+    """The morphisms into one vertex as a tree, indexed in canonical order:
+    the identity is the root 0 and a child (one more edge in front) comes
+    after its parent.  A sieve is a bitmask and a union of subtrees."""
 
     def __init__(self, q: Quiver, v: str):
-        self.quiver = q
         self.vertex = v
-        self.morphisms = tuple(morphisms_into(q, v))
+        self.morphisms = _paths_into(q, v)
         self.index = {m: i for i, m in enumerate(self.morphisms)}
-        self.maximal_mask = (1 << len(self.morphisms)) - 1
-        # bits of all precompositions of each morphism (the closure demand)
-        self.premask = []
-        for f in self.morphisms:
-            bits = 0
-            for g in morphisms_into(q, f.source):
-                bits |= 1 << self.index[compose(g, f)]
-            self.premask.append(bits)
-        self.edge_mask = sum(
-            1 << i for i, m in enumerate(self.morphisms) if m.length == 1
-        )
+        n = len(self.morphisms)
+        self.maximal_mask = (1 << n) - 1
+        position = {m.edges: i for i, m in enumerate(self.morphisms)}
+        self.children = [[] for _ in range(n)]
+        self.subtree = [1 << i for i in range(n)]
+        for i in range(n - 1, 0, -1):
+            parent = position[self.morphisms[i].edges[1:]]
+            self.children[parent].append(i)
+            self.subtree[parent] |= self.subtree[i]
         self._sieve_masks = None
-        self._pull_tables = {}
+        self._probes = {}
 
     def mask_of(self, s: Sieve) -> int:
-        bits = 0
-        for m in s.members:
-            i = self.index.get(m)
-            if i is None:
-                raise SieveError(f"{m.label()} is not a morphism into {self.vertex!r}")
-            bits |= 1 << i
-        return bits
+        try:
+            return sum(1 << self.index[m] for m in s.members)
+        except KeyError as missing:
+            raise NotASieveError(f"{missing.args[0].label()} is not a morphism into {self.vertex!r}") from None
 
     def sieve_of(self, mask: int) -> Sieve:
         return Sieve(
@@ -213,78 +217,79 @@ class _VertexTable:
             frozenset(m for i, m in enumerate(self.morphisms) if mask >> i & 1),
         )
 
-    def is_closed_mask(self, mask: int) -> bool:
-        demand = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            demand |= self.premask[low.bit_length() - 1]
-            rest ^= low
-        return demand & ~mask == 0
-
-    def graded_mask(self, n: int) -> int:
-        return sum(1 << i for i, m in enumerate(self.morphisms) if m.length <= n)
-
     def sieve_masks(self, limit: int) -> list:
-        if len(self.morphisms) > limit:
-            raise TooManyMorphismsError(self.vertex, len(self.morphisms), limit)
+        """Every sieve, in the order of Sieve.canonical_key: size, then the
+        member indices ascending, as members are indexed canonically."""
+        n = len(self.morphisms)
+        if n > limit:
+            raise TooManyMorphismsError(self.vertex, n, limit)
         if self._sieve_masks is None:
-            masks = [
-                mask
-                for mask in range(self.maximal_mask + 1)
-                if self.is_closed_mask(mask)
-            ]
-            masks.sort(key=lambda mask: (bin(mask).count("1"), self.sieve_of(mask).canonical_key()))
-            self._sieve_masks = masks
+            # the sieves under node i: its whole subtree, or one sieve under
+            # each child, combined
+            under = [None] * n
+            for i in range(n - 1, -1, -1):
+                unions = [0]
+                for c in self.children[i]:
+                    unions = [u | s for u in unions for s in under[c]]
+                unions.append(self.subtree[i])
+                under[i] = unions
+            self._sieve_masks = sorted(
+                under[0],
+                key=lambda mask: (bin(mask).count("1"), [i for i in range(n) if mask >> i & 1]),
+            )
         return self._sieve_masks
 
-    def pull_table(self, f_index: int) -> tuple:
-        """For f = morphisms[f_index], maps each g-index at dom(f) to the
-        index of f o g here."""
-        cached = self._pull_tables.get(f_index)
-        if cached is None:
-            f = self.morphisms[f_index]
-            source_table = _vertex_table(self.quiver, f.source)
-            cached = tuple(
-                self.index[compose(g, f)] for g in source_table.morphisms
-            )
-            self._pull_tables[f_index] = cached
-        return cached
+    def probes(self, t: TopologySpec) -> tuple:
+        """(need_all, probes) of t: a sieve S pulls back along morphism i to a
+        covering sieve exactly when S & probes[i] is all of probes[i] (need_all)
+        or not empty; probes[i] is dom(i)'s test carried into i's subtree."""
+        if t not in self._probes:
+            if t.kind == "edge":
+                # a vertex without incoming edges is covered only by its
+                # maximal sieve, the identity alone, keeping GT1
+                tests = (False, [sum(1 << c for c in cs) or 1 << i for i, cs in enumerate(self.children)])
+            elif t.kind == "graded":
+                # the paths under i no longer than len(i) + grade: indices
+                # run by length, so these are the low bits of the subtree
+                upto = {m.length: (2 << i) - 1 for i, m in enumerate(self.morphisms)}
+                longest = [m.length + t.grade for m in self.morphisms]
+                tests = (True, [sub & upto.get(most, sub) for most, sub in zip(longest, self.subtree)])
+            elif t.include_empty:
+                tests = (True, [0] * len(self.subtree))
+            else:  # coarse needs all of the subtree, discrete any of it
+                tests = (t.kind == "coarse", self.subtree)
+            self._probes[t] = tests
+        return self._probes[t]
 
-    def pull_mask(self, f_index: int, mask: int) -> int:
-        table = self.pull_table(f_index)
-        out = 0
-        for j, target in enumerate(table):
-            if mask >> target & 1:
-                out |= 1 << j
-        return out
+    def covered_along(self, t: TopologySpec, mask: int) -> int:
+        """Bits of the morphisms along which the sieve `mask` pulls back to
+        a covering sieve; bit 0, the identity, says whether it covers."""
+        need_all, probes = self.probes(t)
+        return sum(1 << i for i, p in enumerate(probes) if (mask & p == p if need_all else mask & p))
+
+    def covers(self, t: TopologySpec, mask: int) -> bool:
+        need_all, probes = self.probes(t)
+        return mask & probes[0] == probes[0] if need_all else bool(mask & probes[0])
 
 
-@lru_cache(maxsize=None)
 def _vertex_table(q: Quiver, v: str) -> _VertexTable:
-    return _VertexTable(q, v)
+    table = q._sieve_tables.get(v)
+    if table is None:
+        table = q._sieve_tables[v] = _VertexTable(q, v)
+    return table
 
 
-def _covering_mask(t: TopologySpec, table: _VertexTable, mask: int) -> bool:
-    if t.kind == "coarse":
-        return mask == table.maximal_mask
-    if t.kind == "discrete":
-        return bool(mask) or t.include_empty
-    if t.kind == "edge":
-        if table.edge_mask:
-            return bool(mask & table.edge_mask)
-        # vertices without incoming edges are covered exactly by their
-        # maximal sieve, keeping GT1 by construction
-        return mask == table.maximal_mask
-    if t.kind == "graded":
-        wanted = table.graded_mask(t.grade)
-        return mask & wanted == wanted
-    raise InvalidTopologyError(t.kind)
+def check_sieve(q: Quiver, s: Sieve) -> None:
+    """Raise NotASieveError unless s is closed under precomposition."""
+    table = _vertex_table(q, s.codomain)
+    mask = table.mask_of(s)
+    if any(mask >> i & 1 and mask & sub != sub for i, sub in enumerate(table.subtree)):
+        raise NotASieveError(f"{{{', '.join(s.labels())}}} is not closed under precomposition")
 
 
 def is_covering(t: TopologySpec, s: Sieve, q: Quiver) -> bool:
     table = _vertex_table(q, s.codomain)
-    return _covering_mask(t, table, table.mask_of(s))
+    return table.covers(t, table.mask_of(s))
 
 
 def enumerate_sieves(q: Quiver, v: str, limit: int = DEFAULT_SIEVE_LIMIT) -> list:
@@ -307,7 +312,7 @@ def covering_sieves(
     return [
         table.sieve_of(mask)
         for mask in table.sieve_masks(limit)
-        if _covering_mask(t, table, mask)
+        if table.covers(t, mask)
     ]
 
 
@@ -355,76 +360,50 @@ def audit_axioms(
 ) -> AxiomReport:
     """Exhaustively check GT1 (maximal covers), GT2 (pullback stability) and
     GT3 (transitivity); a failing axiom carries the first counterexample in
-    canonical (vertex, sieve) order."""
+    canonical (vertex, sieve) order.  Every vertex's morphism count is
+    checked against the limit before any path is listed."""
     q.require_valid()
+    counts = path_counts(q)
+    for v in q.vertices:
+        if counts[v] > limit:
+            raise TooManyMorphismsError(v, counts[v], limit)
     tables = [_vertex_table(q, v) for v in q.vertices]
 
     gt1 = AxiomResult(True)
     for table in tables:
-        if not _covering_mask(t, table, table.maximal_mask):
-            gt1 = AxiomResult(
-                False, Gt1Counterexample(table.vertex, table.sieve_of(table.maximal_mask))
-            )
+        if not table.covers(t, table.maximal_mask):
+            gt1 = AxiomResult(False, Gt1Counterexample(table.vertex, table.sieve_of(table.maximal_mask)))
             break
 
-    gt2 = AxiomResult(True)
+    gt2 = gt3 = AxiomResult(True)
     for table in tables:
-        if not gt2.passed:
+        if not (gt2.passed or gt3.passed):
             break
-        covering = [
-            m for m in table.sieve_masks(limit) if _covering_mask(t, table, m)
-        ]
-        for mask in covering:
-            for f_index, f in enumerate(table.morphisms):
-                pulled = table.pull_mask(f_index, mask)
-                source_table = _vertex_table(q, f.source)
-                if not _covering_mask(t, source_table, pulled):
-                    gt2 = AxiomResult(
-                        False,
-                        Gt2Counterexample(
-                            table.vertex,
-                            table.sieve_of(mask),
-                            f,
-                            source_table.sieve_of(pulled),
-                        ),
-                    )
-                    break
-            if not gt2.passed:
+        masks = table.sieve_masks(limit)
+        along = [table.covered_along(t, mask) for mask in masks]
+        covering = [(mask, a) for mask, a in zip(masks, along) if a & 1]
+
+        # GT2: a covering sieve pulls back to a covering sieve along every f;
+        # f is the first morphism whose bit is clear
+        for s_mask, a in covering if gt2.passed else ():
+            if a != table.maximal_mask:
+                f = table.morphisms[(~a & (a + 1)).bit_length() - 1]
+                s = table.sieve_of(s_mask)
+                gt2 = AxiomResult(False, Gt2Counterexample(table.vertex, s, f, pullback_sieve(q, f, s)))
                 break
 
-    gt3 = AxiomResult(True)
-    for table in tables:
-        if not gt3.passed:
-            break
-        all_masks = table.sieve_masks(limit)
-        covering = [m for m in all_masks if _covering_mask(t, table, m)]
-        for s_mask in covering:
-            for r_mask in all_masks:
-                if _covering_mask(t, table, r_mask):
-                    continue
-                hypothesis = True
-                rest = s_mask
-                while rest:
-                    low = rest & -rest
-                    f_index = low.bit_length() - 1
-                    rest ^= low
-                    f = table.morphisms[f_index]
-                    pulled = table.pull_mask(f_index, r_mask)
-                    source_table = _vertex_table(q, f.source)
-                    if not _covering_mask(t, source_table, pulled):
-                        hypothesis = False
-                        break
-                if hypothesis:
-                    gt3 = AxiomResult(
-                        False,
-                        Gt3Counterexample(
-                            table.vertex,
-                            table.sieve_of(s_mask),
-                            table.sieve_of(r_mask),
-                        ),
-                    )
-                    break
-            if not gt3.passed:
+        # GT3: R covers if it pulls back to a cover along every member of a
+        # covering S; of the R sharing a pull-back pattern, the first decides
+        candidates = {}
+        for r_mask, a in zip(masks, along):
+            if not a & 1:
+                candidates.setdefault(a, r_mask)
+        for s_mask, _ in covering if gt3.passed else ():
+            r_mask = next((r for a, r in candidates.items() if s_mask & ~a == 0), None)
+            if r_mask is not None:
+                gt3 = AxiomResult(
+                    False, Gt3Counterexample(table.vertex, table.sieve_of(s_mask), table.sieve_of(r_mask))
+                )
                 break
 
     return AxiomReport(t, gt1, gt2, gt3)

@@ -11,7 +11,7 @@ import pytest
 import quivsheaf
 from quivsheaf.cli import main
 
-from helpers import abc_quiver, parallel_quiver
+from helpers import abc_quiver, chain_quiver, parallel_quiver
 from quivsheaf import LinearMap, Presheaf, Representation, constant_presheaf
 from quivsheaf.io import (
     dumps_canonical,
@@ -71,6 +71,14 @@ def test_audit_exit_codes(files, capsys):
         main(["audit", "--quiver", files["quiver.json"], "--topology", "bogus"]) == 2
     )
     capsys.readouterr()
+
+
+def test_audit_over_the_sieve_limit_exits_2_before_listing(tmp_path, capsys):
+    # v1 -> ... -> v1500: v15 is the first vertex with more than 14 paths
+    path = tmp_path / "chain.json"
+    path.write_text(dumps_canonical(quiver_to_json(chain_quiver(1500))))
+    assert main(["audit", "--quiver", str(path), "--topology", "edge"]) == 2
+    assert "15 morphisms into 'v15'" in capsys.readouterr().err
 
 
 def test_check_sheaf(files, capsys):

@@ -25,6 +25,7 @@ from quivsheaf.quiver import (
     LoopEdgeError,
     NonComposableError,
     UnknownVertexError,
+    path_counts,
 )
 
 from helpers import abc_quiver, chain_quiver, dag_family, parallel_quiver
@@ -112,6 +113,11 @@ def test_path_count_recurrence_on_chains(n):
         assert {(m.source, m.edges) for m in ms} == brute_force_paths(q, v)
 
 
+def test_path_counts_match_the_listing():
+    for q in dag_family(4, 4):
+        assert path_counts(q) == {v: len(morphisms_into(q, v)) for v in q.vertices}
+
+
 def test_path_enumeration_matches_brute_force_on_family():
     for q in dag_family(3, 3):
         for v in q.vertices:
@@ -161,9 +167,38 @@ def test_slice_arrows_on_chain():
     }
 
 
+def test_slice_arrows_match_factorization_search():
+    for q in dag_family(3, 3):
+        for v in q.vertices:
+            sl = slice_objects(q, v)
+            searched = [
+                (i, j, g)
+                for i, f_prime in enumerate(sl.objects)
+                for j, f in enumerate(sl.objects)
+                for g in hom(q, f_prime.source, f.source)
+                if compose(g, f) == f_prime
+            ]
+            assert list(sl.arrows) == searched
+
+
 def test_long_chain_is_valid_without_recursion():
     q = chain_quiver(1500)
     assert validate(q).valid
+
+
+def test_long_chain_paths_without_recursion():
+    q = chain_quiver(1500)
+    paths = morphisms_into(q, "v1500")
+    assert len(paths) == 1500
+    assert paths[0] == identity_morphism("v1500")
+    assert paths[-1].source == "v1" and paths[-1].length == 1499
+    assert [len(morphisms_into(q, v)) for v in ("v1", "v2", "v750")] == [1, 2, 750]
+
+
+def test_paths_of_a_cyclic_quiver_are_refused():
+    q = Quiver.build(["a", "b"], [("e", "a", "b"), ("f", "b", "a")])
+    with pytest.raises(InvalidQuiverError):
+        morphisms_into(q, "a")
 
 
 def test_long_cycle_is_reported_in_full():

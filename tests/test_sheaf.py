@@ -26,6 +26,7 @@ from quivsheaf import (
     identity_morphism,
 )
 from quivsheaf.sheaf import EPSILON_NOT_INJECTIVE, FAMILY_NOT_GLUED
+from quivsheaf.sieves import NotASieveError
 
 from helpers import (
     abc_quiver,
@@ -210,8 +211,16 @@ def test_unclosed_sieve_rejected_not_misdecided():
 
     closed = Sieve("c", frozenset({PathMorphism("a", "c", ("e1", "e2"))}))
     assert is_sheaf_for_sieve(F, closed).holds
-    # {e2} alone is not precomposition-closed; the compatibility builder
-    # must fail loudly instead of returning a verdict
+    # {e2} alone is not precomposition-closed; the sheaf functions must
+    # fail loudly instead of returning a verdict
     unclosed = Sieve("c", frozenset({PathMorphism("b", "c", ("e2",))}))
-    with pytest.raises(Exception):
+    with pytest.raises(NotASieveError):
         is_sheaf_for_sieve(F, unclosed)
+    with pytest.raises(NotASieveError):
+        compatibility_space(F, unclosed)
+    with pytest.raises(NotASieveError):
+        glue(F, SectionFamily(unclosed, {PathMorphism("b", "c", ("e2",)): (1,)}))
+    # a morphism into another vertex is no member of a sieve on c
+    stray = Sieve("c", frozenset({PathMorphism("a", "b", ("e1",))}))
+    with pytest.raises(NotASieveError):
+        is_sheaf_for_sieve(F, stray)

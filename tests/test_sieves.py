@@ -1,10 +1,12 @@
 """Sieves, covering policies and the Grothendieck-axiom auditor."""
 
+import gc
+import weakref
+
 import pytest
 
 from quivsheaf import (
     Quiver,
-    Sieve,
     TopologySpec,
     audit_axioms,
     covering_sieves,
@@ -14,7 +16,6 @@ from quivsheaf import (
     identity_morphism,
     is_covering,
     maximal_sieve,
-    morphisms_into,
     pullback_sieve,
 )
 from quivsheaf.sieves import (
@@ -26,7 +27,19 @@ from quivsheaf.sieves import (
     is_closed,
 )
 
+import sieve_oracle
 from helpers import abc_quiver, dag_family, parallel_quiver, single_edge_quiver
+
+TOPOLOGIES = ["coarse", "discrete", "discrete+empty", "edge", "graded:0", "graded:1", "graded:2", "graded:3"]
+
+
+def layered_quiver(n, width):
+    """v1 -> ... -> vn with `width` parallel edges between neighbours."""
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    edges = [
+        (f"e{i}_{k}", f"v{i}", f"v{i + 1}") for i in range(1, n) for k in range(width)
+    ]
+    return Quiver.build(vertices, edges).require_valid()
 
 
 def test_maximal_sieve_contains_identity():
@@ -61,15 +74,46 @@ def test_enumerate_sieves_on_chain():
 
 
 def test_enumerate_sieves_matches_brute_force():
-    for q in dag_family(3, 3):
+    for q in dag_family(4, 4):
         for v in q.vertices:
-            ms = morphisms_into(q, v)
-            brute = 0
-            for mask in range(1 << len(ms)):
-                subset = frozenset(m for i, m in enumerate(ms) if mask >> i & 1)
-                if is_closed(q, Sieve(v, subset)):
-                    brute += 1
-            assert len(enumerate_sieves(q, v)) == brute
+            assert enumerate_sieves(q, v) == sieve_oracle.all_sieves(q, v)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_audit_matches_pairwise_oracle(topology):
+    t = TopologySpec.parse(topology)
+    for q in dag_family(4, 4):
+        assert audit_axioms(t, q) == sieve_oracle.audit(t, q), q
+
+
+def test_covering_sieves_match_oracle():
+    for q in dag_family(3, 3):
+        for topology in TOPOLOGIES:
+            t = TopologySpec.parse(topology)
+            for v in q.vertices:
+                want = [s for s in sieve_oracle.all_sieves(q, v) if sieve_oracle.covers(t, q, s)]
+                assert covering_sieves(q, t, v) == want
+                assert all(is_covering(t, s, q) for s in want)
+
+
+def test_audit_checks_the_limit_before_listing_paths():
+    # 2**40 paths into the last vertex: listing them would never finish
+    q = layered_quiver(41, 2)
+    with pytest.raises(TooManyMorphismsError) as caught:
+        audit_axioms(TopologySpec.discrete(), q)
+    assert (caught.value.vertex, caught.value.count) == ("v4", 15)
+    assert "_paths" not in vars(q)
+
+
+def test_audited_quiver_is_not_kept_alive():
+    q = parallel_quiver()
+    ref = weakref.ref(q)
+    for topology in TOPOLOGIES:
+        audit_axioms(TopologySpec.parse(topology), q)
+    enumerate_sieves(q, "b")
+    del q
+    gc.collect()
+    assert ref() is None
 
 
 def test_pullback_sieve():
