@@ -4,7 +4,9 @@ One binary with subcommands; every subcommand loads its inputs, runs the
 corresponding library call and prints either a text summary or a canonical
 JSON report.  Exit statuses are the machine-readable truth: 0 means the
 checked property holds, 1 means it fails (with a witness in the report),
-2 means the invocation or an input file was unusable.
+2 means the invocation or an input file was unusable, and 3 means an
+internal error: an exception the program does not expect, reported on
+stderr as one line, never as a failed property.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .sieves import (
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 @functools.cache
@@ -246,6 +249,9 @@ def main(argv=None) -> int:
     except (qio.IoError, QuiverError, SieveError, PresheafError, NotDiscreteSheafError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -103,16 +103,6 @@ class Matrix:
         grid = kernel.matmul(self.to_rows(), other.to_rows(), other.cols)
         return Matrix(self.rows, other.cols, tuple(chain.from_iterable(grid)))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product (column-vector convention)."""
         v = as_vector(vec)
@@ -122,9 +112,6 @@ class Matrix:
             sum((self.entry(i, j) * v[j] for j in range(self.cols)), Fraction(0))
             for i in range(self.rows)
         )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
 
 def rref(m: Matrix) -> tuple:

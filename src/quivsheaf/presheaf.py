@@ -3,7 +3,9 @@ data on edges, extension to paths, dualization, and natural-transformation
 hom-spaces.
 
 Maps are stored on edges only; extension to paths is forced because the
-path category is free, so no separate functoriality data needs checking.
+path category is free.  path_maps tabulates F(p) for the paths into a
+vertex, one product per path along the path tree, and checks each table
+for functoriality once, as it is built.
 Dual spaces are identified with coordinate spaces via the dual basis,
 which makes dualization literally matrix transposition.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Mapping
 
 from .linalg import (
@@ -21,6 +24,7 @@ from .linalg import (
     transpose_map,
 )
 from .quiver import PathMorphism, Quiver, UnknownEdgeError
+from .sieves import _vertex_table
 
 
 class PresheafError(Exception):
@@ -73,6 +77,12 @@ class Presheaf:
         except KeyError:
             raise UnknownEdgeError(edge_id) from None
 
+    # The restriction maps of the paths into each vertex (see path_maps),
+    # built on demand and held by the presheaf so that they are dropped with it.
+    @cached_property
+    def _path_maps(self) -> dict:
+        return {}
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -105,6 +115,66 @@ def eval_presheaf(F: Presheaf, p: PathMorphism) -> LinearMap:
     for edge_id in reversed(p.edges):
         result = F.edge_map(edge_id) @ result
     return result
+
+
+def path_maps(F: Presheaf, v: str) -> list:
+    """F(p) for every path p into v, as matrices in the order of the path
+    tree at v: maps[0] is the identity and maps[i] = F(first edge of i) .
+    maps[parent[i]], one product per path.
+
+    The first call for v builds the missing tables of v and its ancestors,
+    ancestors first, and checks each one for functoriality as it is built.
+    """
+    tables = F._path_maps
+    if v not in tables:
+        q = F.quiver
+        # a proper ancestor of u has fewer paths into it than u, so in this
+        # order every table that a check reads is built before the check
+        ancestors = dict.fromkeys(m.source for m in _vertex_table(q, v).morphisms)
+        for u in sorted(ancestors, key=lambda u: len(_vertex_table(q, u).morphisms)):
+            if u not in tables:
+                table = _vertex_table(q, u)
+                maps = [Matrix.identity(F.dim(u))]
+                for m, parent in zip(table.morphisms[1:], table.parent[1:]):
+                    maps.append(F.edge_map(m.edges[0]).matrix @ maps[parent])
+                _check_functorial(F, table, maps)
+                tables[u] = maps
+    return tables[v]
+
+
+def _check_functorial(F: Presheaf, table, maps: list) -> None:
+    """Assert F(f o g) = F(g) . F(f) for every f into v and g into dom f.
+
+    One product per source u of the f: the maps into u stacked, times the
+    F(f) from u side by side.  f = id_v is skipped, as maps[0] is the
+    identity.
+    """
+    v = table.vertex
+    d = F.dim(v)
+    from_source = {}
+    for i, f in enumerate(table.morphisms[1:], 1):
+        from_source.setdefault(f.source, []).append(i)
+    for u, fs in from_source.items():
+        du = F.dim(u)
+        into_u = _vertex_table(F.quiver, u).morphisms
+        maps_u = F._path_maps[u]
+        side = Matrix(du, len(fs) * d, tuple(x for r in range(du) for i in fs for x in maps[i].row(r)))
+        composites = Matrix(
+            sum(m.rows for m in maps_u),
+            len(fs) * d,
+            tuple(
+                x
+                for g, mg in zip(into_u, maps_u)
+                for r in range(mg.rows)
+                for i in fs
+                for x in maps[table.index[PathMorphism(g.source, v, g.edges + table.morphisms[i].edges)]].row(r)
+            ),
+        )
+        if Matrix.stack_rows(maps_u, du) @ side != composites:
+            raise AssertionError(
+                f"restriction maps into {v!r} are not functorial along the paths from {u!r}; "
+                "presheaf data is not functorial"
+            )
 
 
 def eval_representation(V: Representation, p: PathMorphism) -> LinearMap:

@@ -1,10 +1,17 @@
-"""Deciding the sheaf condition as an equalizer of exact linear maps.
+"""Deciding the sheaf condition for a sieve from its generators.
 
 For a sieve S on v the section map stacks the restriction maps of the
 sieve members; the compatibility space is the subspace of the product cut
 out by the precomposition equations.  The presheaf satisfies the sheaf
 condition for S when the section map is injective and its image is the
-whole compatibility space, decided by exact rank arithmetic.
+whole compatibility space.  In a free path category every member of S is
+one generator of S (a member whose parent in the path tree is not a
+member) followed by a path, in exactly one way, so the compatible
+families are free on their values at the generators r, and the condition
+holds iff F(v) -> sum of F(dom r) is square and of full rank.
+is_sheaf_for_sieve decides that by one exact rank over the presheaf's
+table of path maps; the equalizer itself (section_map, compatibility_space,
+glue) supplies the witness for a family that does not glue.
 """
 
 from __future__ import annotations
@@ -14,12 +21,13 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .linalg import LinearMap, Matrix, kernel_basis, rank, solve, is_isomorphism
-from .presheaf import DimensionMismatchError, Presheaf, eval_presheaf
+from .presheaf import DimensionMismatchError, Presheaf, eval_presheaf, path_maps
 from .quiver import Quiver, compose, identity_morphism, morphisms_into
 from .sieves import (
     DEFAULT_SIEVE_LIMIT,
     Sieve,
     TopologySpec,
+    _vertex_table,
     check_sieve,
     covering_sieves,
     generate_sieve,
@@ -133,35 +141,39 @@ def is_sheaf_for_sieve(
     s: Sieve,
     recorder: Optional[Callable] = None,
 ) -> SheafVerdict:
-    """Equalizer check by rank arithmetic.
+    """The sheaf condition for s, decided on the generators of s.
 
-    Holds iff the section map is injective and its rank equals the
-    dimension of the compatibility space.  The containment image(epsilon)
-    inside the compatibility space is asserted on every call; it holds by
-    functoriality and a violation means a broken presheaf.
+    Every member of s is a generator r followed by a path, in exactly one
+    way, so a compatible family is free on its values at the generators:
+    the families form the sum of F(dom r), of dimension sigma, and the
+    section map is injective iff F(v) -> sum F(dom r), the generator maps
+    stacked, is.  Hence F is a sheaf for s iff that map is square and of
+    full rank; sigma < dim F(v) fails without elimination.  The maps F(r)
+    come from path_maps, which checks functoriality once per vertex.  A
+    compatible family that does not glue is found as the equalizer finds
+    it: the first basis vector of the compatibility space outside the
+    image of the section map.
     """
-    compat = _compatibility_matrix(F, s)
-    eps = section_map(F, s)
-    if not (compat @ eps.matrix).is_zero():
-        raise AssertionError(
-            "section-map image escapes the compatibility space; "
-            "presheaf data is not functorial"
-        )
-    d = F.dim(s.codomain)
-    eps_rank = rank(eps.matrix)
-    compat_dim = eps.matrix.rows - rank(compat) if eps.matrix.rows else 0
-    # compat matrix has eps.matrix.rows columns (the product dimension)
-    if eps_rank != d:
-        verdict = SheafVerdict(False, s.codomain, s, EPSILON_NOT_INJECTIVE)
-    elif compat_dim != eps_rank:
+    q = F.quiver
+    mask = check_sieve(q, s)
+    v = s.codomain
+    maps = path_maps(F, v)
+    table = _vertex_table(q, v)
+    generators = table.generators(mask)
+    d = F.dim(v)
+    sigma = sum(F.dim(table.morphisms[r].source) for r in generators)
+    if sigma < d or rank(Matrix.stack_rows([maps[r] for r in generators], d)) < d:
+        verdict = SheafVerdict(False, v, s, EPSILON_NOT_INJECTIVE)
+    elif sigma > d:
+        eps = section_map(F, s).matrix
         witness = None
-        for vec in kernel_basis(compat):
-            if solve(eps.matrix, vec) is None:
+        for vec in kernel_basis(_compatibility_matrix(F, s)):
+            if solve(eps, vec) is None:
                 witness = SectionFamily.from_vector(F, s, vec)
                 break
-        verdict = SheafVerdict(False, s.codomain, s, FAMILY_NOT_GLUED, witness)
+        verdict = SheafVerdict(False, v, s, FAMILY_NOT_GLUED, witness)
     else:
-        verdict = SheafVerdict(True, s.codomain)
+        verdict = SheafVerdict(True, v)
     if recorder is not None:
         recorder(F, s, verdict)
     return verdict

@@ -187,7 +187,8 @@ class TopologySpec:
 class _VertexTable:
     """The morphisms into one vertex as a tree, indexed in canonical order:
     the identity is the root 0 and a child (one more edge in front) comes
-    after its parent.  A sieve is a bitmask and a union of subtrees."""
+    after its parent, parent[i] (the root is its own parent).  A sieve is a
+    bitmask and a union of subtrees."""
 
     def __init__(self, q: Quiver, v: str):
         self.vertex = v
@@ -196,12 +197,12 @@ class _VertexTable:
         n = len(self.morphisms)
         self.maximal_mask = (1 << n) - 1
         position = {m.edges: i for i, m in enumerate(self.morphisms)}
+        self.parent = [0] + [position[m.edges[1:]] for m in self.morphisms[1:]]
         self.children = [[] for _ in range(n)]
         self.subtree = [1 << i for i in range(n)]
         for i in range(n - 1, 0, -1):
-            parent = position[self.morphisms[i].edges[1:]]
-            self.children[parent].append(i)
-            self.subtree[parent] |= self.subtree[i]
+            self.children[self.parent[i]].append(i)
+            self.subtree[self.parent[i]] |= self.subtree[i]
         self._sieve_masks = None
         self._probes = {}
 
@@ -210,6 +211,13 @@ class _VertexTable:
             return sum(1 << self.index[m] for m in s.members)
         except KeyError as missing:
             raise NotASieveError(f"{missing.args[0].label()} is not a morphism into {self.vertex!r}") from None
+
+    def generators(self, mask: int) -> list:
+        """The members of the sieve `mask` whose parent is not a member: each
+        member is one of them followed by a path, in exactly one way."""
+        if mask & 1:
+            return [0]
+        return [i for i, p in enumerate(self.parent) if mask >> i & 1 and not mask >> p & 1]
 
     def sieve_of(self, mask: int) -> Sieve:
         return Sieve(
@@ -279,12 +287,14 @@ def _vertex_table(q: Quiver, v: str) -> _VertexTable:
     return table
 
 
-def check_sieve(q: Quiver, s: Sieve) -> None:
-    """Raise NotASieveError unless s is closed under precomposition."""
+def check_sieve(q: Quiver, s: Sieve) -> int:
+    """Raise NotASieveError unless s is closed under precomposition;
+    return its mask in the table of s.codomain."""
     table = _vertex_table(q, s.codomain)
     mask = table.mask_of(s)
     if any(mask >> i & 1 and mask & sub != sub for i, sub in enumerate(table.subtree)):
         raise NotASieveError(f"{{{', '.join(s.labels())}}} is not closed under precomposition")
+    return mask
 
 
 def is_covering(t: TopologySpec, s: Sieve, q: Quiver) -> bool:

@@ -106,3 +106,20 @@ def random_representation(rng: random.Random, max_vertices: int = 4) -> Represen
             [[entry() for _ in range(cols)] for _ in range(rows)], cols
         )
     return Representation(q, dims, maps)
+
+
+def make_edge_maps_drift(monkeypatch):
+    """Patch Presheaf.edge_map so that every edge's map is doubled from its
+    second lookup on: restriction maps built at different times disagree,
+    as they would for a broken path-map table."""
+    lookups = {}
+    original = Presheaf.edge_map
+
+    def drifting(self, edge_id):
+        m = original(self, edge_id)
+        lookups[edge_id] = lookups.get(edge_id, 0) + 1
+        if lookups[edge_id] == 1:
+            return m
+        return LinearMap.from_rows([[2 * x for x in row] for row in m.matrix.to_rows()], m.domain_dim)
+
+    monkeypatch.setattr(Presheaf, "edge_map", drifting)

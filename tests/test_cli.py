@@ -11,7 +11,7 @@ import pytest
 import quivsheaf
 from quivsheaf.cli import main
 
-from helpers import abc_quiver, chain_quiver, parallel_quiver
+from helpers import abc_quiver, chain_quiver, make_edge_maps_drift, parallel_quiver
 from quivsheaf import LinearMap, Presheaf, Representation, constant_presheaf
 from quivsheaf.io import (
     dumps_canonical,
@@ -135,6 +135,17 @@ def test_check_sheaf_failure_reports_witness(files, tmp_path, capsys):
     verdict = report["results"][0]["verdict"]
     assert verdict["holds"] is False
     assert verdict["failing_sieve"]["members"] == ["e", "f"]
+
+
+def test_internal_error_exits_3(files, monkeypatch, capsys):
+    # a path-map table that is not functorial is the program's fault, not
+    # a failed sheaf condition and not a bad input
+    make_edge_maps_drift(monkeypatch)
+    rc = main(["check-sheaf", "--quiver", files["quiver.json"], "--presheaf", files["const.json"]])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: AssertionError: restriction maps into 'c'")
 
 
 def test_dualize_round_trip(files, tmp_path, capsys):

@@ -11,6 +11,7 @@ from quivsheaf import (
     NatTrans,
     Presheaf,
     Representation,
+    TopologySpec,
     compose,
     constant_presheaf,
     dualize,
@@ -19,6 +20,7 @@ from quivsheaf import (
     eval_presheaf,
     eval_representation,
     hom,
+    is_sheaf,
     morphisms_into,
     nat_trans_space,
 )
@@ -28,9 +30,10 @@ from quivsheaf.presheaf import (
     identity_nat_trans,
     is_natural_presheaf,
     is_natural_representation,
+    path_maps,
 )
 
-from helpers import abc_quiver, chain_quiver, parallel_quiver, random_representation
+from helpers import abc_quiver, chain_quiver, make_edge_maps_drift, parallel_quiver, random_representation
 
 
 def two_step_presheaf():
@@ -87,6 +90,29 @@ def test_eval_functoriality_exhaustive():
                 lhs = eval_presheaf(F, compose(g, p))
                 rhs = eval_presheaf(F, g) @ eval_presheaf(F, p)
                 assert lhs.matrix == rhs.matrix
+
+
+def test_path_maps_match_eval_presheaf():
+    rng = random.Random(5)
+    for _ in range(25):
+        F = dualize(random_representation(rng))
+        q = F.quiver
+        for v in q.vertices:
+            assert path_maps(F, v) == [eval_presheaf(F, p).matrix for p in morphisms_into(q, v)]
+        # every vertex's table is held by the presheaf, built once
+        assert set(F._path_maps) == set(q.vertices)
+        assert path_maps(F, q.vertices[-1]) is F._path_maps[q.vertices[-1]]
+
+
+def test_path_maps_check_functoriality(monkeypatch):
+    q, F = two_step_presheaf()
+    assert is_sheaf(F, TopologySpec.coarse()).holds
+    # the check runs at every vertex is_sheaf visits
+    assert set(F._path_maps) == set(q.vertices)
+    make_edge_maps_drift(monkeypatch)
+    F = Presheaf(q, F.dims, F.edge_maps)
+    with pytest.raises(AssertionError, match="into 'c' are not functorial along the paths from 'b'"):
+        is_sheaf(F, TopologySpec.coarse())
 
 
 def test_dualize_transposes_and_is_involutive():
