@@ -70,8 +70,6 @@ from .functors import (
     AdjunctionReport,
     TransportReport,
     check_adjunction,
-    fully_faithful_evidence,
-    include_discrete,
     left_adjoint_component,
     left_adjoint_literal,
     monodromy_report,

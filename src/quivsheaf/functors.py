@@ -1,7 +1,8 @@
 """Comparison machinery between locally constant sheaves and coarse
-sheaves: the inclusion, hom-space full-faithfulness evidence, the two
-candidate left adjoints built from finite universal constructions, the
-adjunction dimension check, and transport/monodromy.
+sheaves: the two candidate left adjoints built from finite universal
+constructions, the adjunction dimension check, and transport/monodromy.
+The inclusion of locally constant sheaves into coarse sheaves is the
+identity on data, fully faithful by definition, and has no helper.
 
 The groupoid completion is never materialized: per component its
 computable content is the spanning-tree transports plus one monodromy
@@ -11,7 +12,7 @@ automorphism per non-tree edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .linalg import (
     DiagramOfSpaces,
@@ -27,12 +28,13 @@ from .linalg import (
 from .presheaf import (
     NatTrans,
     Presheaf,
-    eval_presheaf,
-    is_natural_presheaf,
     nat_trans_space,
+    naturality_failures,
+    path_maps,
 )
 from .quiver import connected_components, slice_objects
 from .sheaf import is_discrete_sheaf_criterion
+from .sieves import _vertex_table
 
 
 class FunctorError(Exception):
@@ -47,34 +49,6 @@ class NonInvertibleEdgeError(FunctorError):
     def __init__(self, edge_id: str):
         self.edge_id = edge_id
         super().__init__(f"edge map {edge_id!r} is not invertible")
-
-
-def include_discrete(F: Presheaf) -> Presheaf:
-    """Inclusion of locally constant sheaves into coarse sheaves.
-
-    Identity on the data; the precondition makes the functor's domain
-    explicit.
-    """
-    if not is_discrete_sheaf_criterion(F):
-        raise NotDiscreteSheafError("presheaf has a non-invertible edge map")
-    return F
-
-
-def fully_faithful_evidence(F: Presheaf, G: Presheaf) -> Tuple[int, int, bool]:
-    """Hom dimensions on the locally constant side and the coarse side.
-
-    Both sides are natural-transformation spaces of the same underlying
-    presheaves, so they are computed by the same solve; the equality
-    guards against accidental divergence of the two code paths.
-    """
-    if not (is_discrete_sheaf_criterion(F) and is_discrete_sheaf_criterion(G)):
-        raise NotDiscreteSheafError("both arguments must be locally constant sheaves")
-    dim_disc, basis_disc = nat_trans_space(F, G)
-    dim_coarse, basis_coarse = nat_trans_space(include_discrete(F), include_discrete(G))
-    equal = dim_disc == dim_coarse and all(
-        a.components == b.components for a, b in zip(basis_disc, basis_coarse)
-    )
-    return dim_disc, dim_coarse, equal
 
 
 @dataclass(frozen=True)
@@ -98,19 +72,19 @@ def left_adjoint_literal(F: Presheaf, v: str) -> PointwiseExtensionReport:
     """
     q = F.quiver
     sl = slice_objects(q, v)
+    maps = path_maps(F, v)  # in the order of sl.objects; builds every dom f's table
     nodes = [F.dim(f.source) for f in sl.objects]
     arrows = []
     for i_fprime, i_f, g in sl.arrows:
         # F(g): F(dom f) -> F(dom f'), i.e. node i_f -> node i_fprime
-        arrows.append((i_f, i_fprime, eval_presheaf(F, g)))
+        u = g.target
+        arrows.append((i_f, i_fprime, LinearMap(path_maps(F, u)[_vertex_table(q, u).index[g]])))
     diagram = DiagramOfSpaces.build(nodes, arrows)
     dim, cone = limit(diagram)
 
     # comparison: columns are the coordinates of (F(f)(b))_f in the
     # universal space's basis, for b ranging over a basis of F(v)
-    stacked = Matrix.stack_rows(
-        [eval_presheaf(F, f).matrix for f in sl.objects], F.dim(v)
-    )
+    stacked = Matrix.stack_rows(maps, F.dim(v))
     basis_cols = Matrix.from_rows(_universal_basis_rows(cone, nodes, dim), dim)
     comparison_cols = []
     for j in range(F.dim(v)):
@@ -187,8 +161,9 @@ def check_adjunction(F: Presheaf, G: Presheaf) -> AdjunctionReport:
 
     left_dim counts maps from the component extension of F to G,
     right_dim counts maps from F to G; both by independent linear solves.
-    Additionally composes each basis map with the unit and checks that the
-    resulting maps F -> G are natural and span the right-hand space.
+    Additionally composes each basis map with the unit and checks, in one
+    batch, that the resulting maps F -> G are natural and span the
+    right-hand space.
     """
     if not is_discrete_sheaf_criterion(G):
         raise NotDiscreteSheafError("right-hand argument must be a locally constant sheaf")
@@ -196,26 +171,18 @@ def check_adjunction(F: Presheaf, G: Presheaf) -> AdjunctionReport:
     left_dim, left_basis = nat_trans_space(ext.presheaf, G)
     right_dim, _ = nat_trans_space(F, G)
 
-    unit_spans = True
-    flattened = []
-    for phi in left_basis:
-        composed = NatTrans(
-            {
-                v: phi.component(v) @ ext.unit.component(v)
-                for v in F.quiver.vertices
-            }
-        )
-        if not is_natural_presheaf(F, G, composed):
-            unit_spans = False
-            break
-        flat = []
-        for v in F.quiver.vertices:
-            flat.extend(composed.component(v).matrix.entries)
-        flattened.append(flat)
-    if unit_spans:
-        width = len(flattened[0]) if flattened else 0
-        # the adjunction map is injective iff the composites stay independent
-        unit_spans = rank(Matrix.from_rows(flattened, width)) == left_dim
+    vertices = F.quiver.vertices
+    composites = [
+        NatTrans({v: phi.component(v) @ ext.unit.component(v) for v in vertices})
+        for phi in left_basis
+    ]
+    # composites of natural maps are natural; a failure is the program's fault
+    if naturality_failures(F, G, composites):
+        raise AssertionError("a composite with the adjunction unit is not natural")
+    flattened = [[x for v in vertices for x in eta.component(v).matrix.entries] for eta in composites]
+    width = sum(G.dim(v) * F.dim(v) for v in vertices)
+    # the adjunction map is injective iff the composites stay independent
+    unit_spans = rank(Matrix.from_rows(flattened, width)) == left_dim
     match = left_dim == right_dim and unit_spans
     return AdjunctionReport(left_dim, right_dim, match, unit_spans)
 

@@ -5,7 +5,8 @@ hom-spaces.
 Maps are stored on edges only; extension to paths is forced because the
 path category is free.  path_maps tabulates F(p) for the paths into a
 vertex, one product per path along the path tree, and checks each table
-for functoriality once, as it is built.
+for functoriality once, as it is built; the package reads every F(p) from
+these tables, and eval_presheaf is the reference they are tested against.
 Dual spaces are identified with coordinate spaces via the dual basis,
 which makes dualization literally matrix transposition.
 """
@@ -218,24 +219,44 @@ def identity_nat_trans(F: Presheaf) -> NatTrans:
     return NatTrans({v: LinearMap.identity(F.dim(v)) for v in F.quiver.vertices})
 
 
+def naturality_failures(F: Presheaf, G: Presheaf, etas) -> list:
+    """The positions k, ascending, at which etas[k]: F -> G fails
+    G(e) . eta_t(e) = eta_s(e) . F(e) on some edge e.
+
+    Two products per edge for the whole list: G(e) times the eta_t side by
+    side, whose column block k is G(e) . eta_t of etas[k], and the eta_s
+    stacked times F(e), whose row block k is eta_s . F(e).
+    """
+    q = F.quiver
+    for eta in etas:
+        for v in q.vertices:
+            if (eta.component(v).codomain_dim, eta.component(v).domain_dim) != (G.dim(v), F.dim(v)):
+                raise DimensionMismatchError(f"component at {v!r} does not map F(v) to G(v)")
+    failed = set()
+    for e in q.edges if etas else ():
+        s, t = e.src, e.dst
+        w, h = F.dim(t), G.dim(s)
+        at_t = [eta.component(t).matrix for eta in etas]
+        side = Matrix(G.dim(t), len(etas) * w, tuple(x for r in range(G.dim(t)) for m in at_t for x in m.row(r)))
+        left = G.edge_map(e.id).matrix @ side
+        stacked = Matrix.stack_rows([eta.component(s).matrix for eta in etas], F.dim(s))
+        right = stacked @ F.edge_map(e.id).matrix
+        for k in range(len(etas)):
+            if any(left.row(r)[k * w : (k + 1) * w] != right.row(k * h + r) for r in range(h)):
+                failed.add(k)
+    return sorted(failed)
+
+
 def is_natural_presheaf(F: Presheaf, G: Presheaf, eta: NatTrans) -> bool:
     """Check G(e) . eta_t(e) = eta_s(e) . F(e) on every edge."""
-    for e in F.quiver.edges:
-        left = G.edge_map(e.id) @ eta.component(e.dst)
-        right = eta.component(e.src) @ F.edge_map(e.id)
-        if left != right:
-            return False
-    return True
+    return not naturality_failures(F, G, [eta])
 
 
 def is_natural_representation(V: Representation, W: Representation, eta: NatTrans) -> bool:
-    """Check eta_t(e) . V(e) = W(e) . eta_s(e) on every edge."""
-    for e in V.quiver.edges:
-        left = eta.component(e.dst) @ V.edge_map(e.id)
-        right = W.edge_map(e.id) @ eta.component(e.src)
-        if left != right:
-            return False
-    return True
+    """Check eta_t(e) . V(e) = W(e) . eta_s(e) on every edge: transposed,
+    this is the naturality of the dual eta*: W* -> V*."""
+    dual = NatTrans({v: transpose_map(f) for v, f in eta.components.items()})
+    return is_natural_presheaf(dualize(W), dualize(V), dual)
 
 
 def dualize_morphism(V: Representation, W: Representation, eta: NatTrans) -> NatTrans:
@@ -253,7 +274,7 @@ def nat_trans_space(F: Presheaf, G: Presheaf) -> tuple:
 
     Solves the per-edge linear system G(e) . eta_t = eta_s . F(e) in the
     component entries; edges suffice since the category is free on the
-    quiver.
+    quiver.  A basis element that is not natural is the solver's fault.
     """
     if F.quiver != G.quiver:
         raise PresheafError("presheaves live on different quivers")
@@ -298,8 +319,7 @@ def nat_trans_space(F: Presheaf, G: Presheaf) -> tuple:
         return NatTrans(components)
 
     basis = [unpack(vec) for vec in basis_vectors]
-    for eta in basis:
-        # every returned basis element must pass the exact naturality check
-        if not is_natural_presheaf(F, G, eta):
-            raise NotNaturalError("solver produced a non-natural transformation")
+    # every returned basis element must pass the exact naturality check
+    if naturality_failures(F, G, basis):
+        raise AssertionError("solver produced a non-natural transformation")
     return len(basis), basis

@@ -11,7 +11,9 @@ families are free on their values at the generators r, and the condition
 holds iff F(v) -> sum of F(dom r) is square and of full rank.
 is_sheaf_for_sieve decides that by one exact rank over the presheaf's
 table of path maps; the equalizer itself (section_map, compatibility_space,
-glue) supplies the witness for a family that does not glue.
+glue) supplies the witness for a family that does not glue.  Its equations
+are F(e) x_f = x_(f o e) for edges e only: every path is a composite of
+edges, so they cut out the same space as the equations of all paths.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .linalg import LinearMap, Matrix, kernel_basis, rank, solve, is_isomorphism
-from .presheaf import DimensionMismatchError, Presheaf, eval_presheaf, path_maps
-from .quiver import Quiver, compose, identity_morphism, morphisms_into
+from .presheaf import DimensionMismatchError, Presheaf, path_maps
+from .quiver import Quiver, edge_morphism
 from .sieves import (
     DEFAULT_SIEVE_LIMIT,
     Sieve,
@@ -83,26 +85,27 @@ def _member_offsets(F: Presheaf, s: Sieve):
 
 def section_map(F: Presheaf, s: Sieve) -> LinearMap:
     """epsilon: F(v) -> product over the sieve of F(dom f), stacked blocks."""
-    blocks = [eval_presheaf(F, f).matrix for f in s.sorted_members()]
-    d = F.dim(s.codomain)
-    return LinearMap(Matrix.stack_rows(blocks, d))
+    maps = path_maps(F, s.codomain)
+    mask = _vertex_table(F.quiver, s.codomain).mask_of(s)
+    return LinearMap(Matrix.stack_rows([m for i, m in enumerate(maps) if mask >> i & 1], F.dim(s.codomain)))
 
 
 def _compatibility_matrix(F: Presheaf, s: Sieve) -> Matrix:
+    """One block F(e) x_f = x_(f o e) per member f and edge e into dom f."""
     q = F.quiver
     check_sieve(q, s)  # raises NotASieveError for a set that is not closed
+    table = _vertex_table(q, s.codomain)
     offsets, total = _member_offsets(F, s)
     rows = []
-    for f in s.sorted_members():
-        for g in morphisms_into(q, f.source):
-            fg = compose(g, f)
-            # sieve closure guarantees fg is a member
-            mg = eval_presheaf(F, g).matrix  # F(dom f) -> F(dom g)
-            for i in range(mg.rows):
+    for f, start in offsets.items():
+        for c in table.children[table.index[f]]:
+            # f o e is the child c of f in the path tree, a member by closure
+            fe = table.morphisms[c]
+            me = F.edge_map(fe.edges[0]).matrix  # F(dom f) -> F(dom fe)
+            for i in range(me.rows):
                 row = [Fraction(0)] * total
-                for j in range(mg.cols):
-                    row[offsets[f] + j] += mg.entry(i, j)
-                row[offsets[fg] + i] -= 1
+                row[start : start + me.cols] = me.row(i)
+                row[offsets[fe] + i] -= 1
                 rows.append(row)
     return Matrix.from_rows(rows, total)
 
@@ -113,12 +116,22 @@ def compatibility_space(F: Presheaf, s: Sieve) -> tuple:
     return len(basis), [SectionFamily.from_vector(F, s, vec) for vec in basis]
 
 
+def _generator_maps(F: Presheaf, s: Sieve, mask: int) -> tuple:
+    """The generators r of s and F(v) -> sum of F(dom r), their maps stacked."""
+    v = s.codomain
+    table = _vertex_table(F.quiver, v)
+    generators = table.generators(mask)
+    maps = path_maps(F, v)
+    stacked = Matrix.stack_rows([maps[r] for r in generators], F.dim(v))
+    return [table.morphisms[r] for r in generators], stacked
+
+
 def glue(F: Presheaf, family: SectionFamily) -> Optional[tuple]:
     """The glued section for a compatible family, or None.
 
-    When the sieve contains the identity the glued section is the section
-    at the identity; otherwise a particular solution of the section-map
-    system is returned.
+    A compatible family is fixed by its sections at the generators r of
+    the sieve, so a particular solution of F(v) -> sum of F(dom r) is
+    returned.
     """
     s = family.sieve
     for f in s.sorted_members():
@@ -130,10 +143,8 @@ def glue(F: Presheaf, family: SectionFamily) -> Optional[tuple]:
     compat = _compatibility_matrix(F, s)
     if any(x != 0 for x in compat.apply(vec)):
         return None
-    id_v = identity_morphism(s.codomain)
-    if s.contains(id_v):
-        return tuple(family.sections[id_v])
-    return solve(section_map(F, s).matrix, vec)
+    generators, stacked = _generator_maps(F, s, _vertex_table(F.quiver, s.codomain).mask_of(s))
+    return solve(stacked, [x for r in generators for x in family.sections[r]])
 
 
 def is_sheaf_for_sieve(
@@ -151,25 +162,23 @@ def is_sheaf_for_sieve(
     full rank; sigma < dim F(v) fails without elimination.  The maps F(r)
     come from path_maps, which checks functoriality once per vertex.  A
     compatible family that does not glue is found as the equalizer finds
-    it: the first basis vector of the compatibility space outside the
-    image of the section map.
+    it: the first basis vector of the compatibility space whose values at
+    the generators are outside the image of the stacked map.
     """
     q = F.quiver
     mask = check_sieve(q, s)
     v = s.codomain
-    maps = path_maps(F, v)
-    table = _vertex_table(q, v)
-    generators = table.generators(mask)
+    generators, stacked = _generator_maps(F, s, mask)
     d = F.dim(v)
-    sigma = sum(F.dim(table.morphisms[r].source) for r in generators)
-    if sigma < d or rank(Matrix.stack_rows([maps[r] for r in generators], d)) < d:
+    sigma = stacked.rows
+    if sigma < d or rank(stacked) < d:
         verdict = SheafVerdict(False, v, s, EPSILON_NOT_INJECTIVE)
     elif sigma > d:
-        eps = section_map(F, s).matrix
         witness = None
         for vec in kernel_basis(_compatibility_matrix(F, s)):
-            if solve(eps, vec) is None:
-                witness = SectionFamily.from_vector(F, s, vec)
+            family = SectionFamily.from_vector(F, s, vec)
+            if solve(stacked, [x for r in generators for x in family.sections[r]]) is None:
+                witness = family
                 break
         verdict = SheafVerdict(False, v, s, FAMILY_NOT_GLUED, witness)
     else:
@@ -230,8 +239,6 @@ def cross_validate_discrete(
             # the sieve generated by that edge separates the two readings
             for e in q.edges:
                 if not is_isomorphism(F.edge_map(e.id)):
-                    from .quiver import edge_morphism
-
                     separating = generate_sieve(q, e.dst, [edge_morphism(e)])
                     break
     return CrossValidationReport(criterion, definitional, agree, separating)

@@ -3,21 +3,54 @@ equalizer.  The section map stacks every member's restriction map, the
 compatibility space is cut out by every precomposition equation, and the
 condition holds when the section map is injective and its rank is the
 dimension of the compatibility space.  This is the check that the
-generator rule in quivsheaf.sheaf replaced, kept as it was; only the
-functoriality test spells out the deleted Matrix.is_zero."""
+generator rule in quivsheaf.sheaf replaced.  Its section map and its
+all-paths compatibility matrix are built here, path by path through
+eval_presheaf, so the oracle shares no builder with the package's sheaf
+module."""
 
+from fractions import Fraction
 from typing import Callable, Optional
 
-from quivsheaf import Presheaf, Sieve
-from quivsheaf.linalg import kernel_basis, rank, solve
+from quivsheaf import Presheaf, Sieve, compose, eval_presheaf, morphisms_into
+from quivsheaf.linalg import LinearMap, Matrix, kernel_basis, rank, solve
 from quivsheaf.sheaf import (
     EPSILON_NOT_INJECTIVE,
     FAMILY_NOT_GLUED,
     SectionFamily,
     SheafVerdict,
-    _compatibility_matrix,
-    section_map,
 )
+from quivsheaf.sieves import check_sieve
+
+
+def section_map(F: Presheaf, s: Sieve) -> LinearMap:
+    """epsilon: F(v) -> product over the sieve of F(dom f), stacked blocks."""
+    blocks = [eval_presheaf(F, f).matrix for f in s.sorted_members()]
+    return LinearMap(Matrix.stack_rows(blocks, F.dim(s.codomain)))
+
+
+def compatibility_matrix(F: Presheaf, s: Sieve) -> Matrix:
+    """One block F(g) x_f = x_(f o g) per member f and every path g into
+    dom f, the identity included."""
+    q = F.quiver
+    check_sieve(q, s)
+    members = s.sorted_members()
+    offsets = {}
+    total = 0
+    for f in members:
+        offsets[f] = total
+        total += F.dim(f.source)
+    rows = []
+    for f in members:
+        for g in morphisms_into(q, f.source):
+            fg = compose(g, f)
+            mg = eval_presheaf(F, g).matrix  # F(dom f) -> F(dom g)
+            for i in range(mg.rows):
+                row = [Fraction(0)] * total
+                for j in range(mg.cols):
+                    row[offsets[f] + j] += mg.entry(i, j)
+                row[offsets[fg] + i] -= 1
+                rows.append(row)
+    return Matrix.from_rows(rows, total)
 
 
 def is_sheaf_for_sieve(
@@ -32,7 +65,7 @@ def is_sheaf_for_sieve(
     inside the compatibility space is asserted on every call; it holds by
     functoriality and a violation means a broken presheaf.
     """
-    compat = _compatibility_matrix(F, s)
+    compat = compatibility_matrix(F, s)
     eps = section_map(F, s)
     if not all(x == 0 for x in (compat @ eps.matrix).entries):
         raise AssertionError(

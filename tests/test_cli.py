@@ -12,7 +12,8 @@ import quivsheaf
 from quivsheaf.cli import main
 
 from helpers import abc_quiver, chain_quiver, make_edge_maps_drift, parallel_quiver
-from quivsheaf import LinearMap, Presheaf, Representation, constant_presheaf
+from quivsheaf import LinearMap, NatTrans, Presheaf, Representation, constant_presheaf
+from quivsheaf.functors import ComponentExtension
 from quivsheaf.io import (
     dumps_canonical,
     presheaf_to_json,
@@ -146,6 +147,40 @@ def test_internal_error_exits_3(files, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: AssertionError: restriction maps into 'c'")
+
+
+def assert_functors_exits_3(files, capsys, message):
+    rc = main(["functors", "--quiver", files["quiver.json"], "--presheaf", files["const.json"], "--presheaf", files["const.json"]])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: AssertionError: {message}")
+
+
+def test_non_natural_solver_output_exits_3(files, monkeypatch, capsys):
+    # a kernel vector moved off the solution space is the solver's fault,
+    # not a usage error (2) and not a failed adjunction (1)
+    original = quivsheaf.presheaf.kernel_basis
+
+    def shifted(m):
+        return [(v[0] + 1,) + tuple(v[1:]) for v in original(m)]
+
+    monkeypatch.setattr(quivsheaf.presheaf, "kernel_basis", shifted)
+    assert_functors_exits_3(files, capsys, "solver produced a non-natural transformation")
+
+
+def test_non_natural_unit_composite_exits_3(files, monkeypatch, capsys):
+    # a unit that is zero at one vertex only is not natural, so neither are
+    # its composites; that is the program's fault, not match=false
+    original = quivsheaf.functors.left_adjoint_component
+
+    def broken(F):
+        ext = original(F)
+        unit = NatTrans({**ext.unit.components, "a": LinearMap.zero(ext.presheaf.dim("a"), F.dim("a"))})
+        return ComponentExtension(ext.presheaf, unit)
+
+    monkeypatch.setattr(quivsheaf.functors, "left_adjoint_component", broken)
+    assert_functors_exits_3(files, capsys, "a composite with the adjunction unit is not natural")
 
 
 def test_dualize_round_trip(files, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Comparison functors: inclusion, adjoints, adjunction dimensions,
+"""Comparison functors: adjoints, adjunction dimensions,
 transport and monodromy."""
 
 import random
@@ -12,8 +12,6 @@ from quivsheaf import (
     Presheaf,
     check_adjunction,
     constant_presheaf,
-    fully_faithful_evidence,
-    include_discrete,
     is_isomorphism,
     left_adjoint_component,
     left_adjoint_literal,
@@ -42,24 +40,6 @@ def scaled_parallel_presheaf():
         {"a": 1, "b": 1},
         {"e": LinearMap.identity(1), "f": LinearMap.from_rows([[2]])},
     )
-
-
-def test_include_discrete_requires_invertible_maps():
-    q = single_edge_quiver()
-    F = constant_presheaf(q, 1)
-    assert include_discrete(F) is F
-    bad = Presheaf(q, {"a": 1, "b": 1}, {"e": LinearMap.zero(1, 1)})
-    with pytest.raises(NotDiscreteSheafError):
-        include_discrete(bad)
-
-
-def test_fully_faithful_evidence_dims_agree():
-    q = abc_quiver()
-    F = constant_presheaf(q, 2)
-    G = constant_presheaf(q, 1)
-    disc, coarse, equal = fully_faithful_evidence(F, G)
-    assert disc == coarse == 2
-    assert equal
 
 
 def test_literal_adjoint_comparison_is_always_iso():

@@ -30,6 +30,7 @@ from quivsheaf.presheaf import (
     identity_nat_trans,
     is_natural_presheaf,
     is_natural_representation,
+    naturality_failures,
     path_maps,
 )
 
@@ -222,6 +223,59 @@ def test_nat_trans_space_zero_target():
 def test_identity_nat_trans_is_natural():
     q, F = two_step_presheaf()
     assert is_natural_presheaf(F, F, identity_nat_trans(F))
+
+
+def natural_by_hand(F, G, eta):
+    """G(e) . eta_t = eta_s . F(e) on every edge, one transformation at a time."""
+    return all(
+        G.edge_map(e.id).matrix @ eta.component(e.dst).matrix == eta.component(e.src).matrix @ F.edge_map(e.id).matrix
+        for e in F.quiver.edges
+    )
+
+
+def broken_at(eta, v):
+    """eta with 1 added to the first entry of its component at v."""
+    m = eta.component(v).matrix
+    entries = (m.entries[0] + 1,) + m.entries[1:]
+    return NatTrans({**eta.components, v: LinearMap(Matrix(m.rows, m.cols, entries))})
+
+
+def test_batched_naturality_flags_exactly_the_broken_transformation():
+    # every dualized random representation to the constant presheaf of dim
+    # 2, with some zero-dimensional vertices, so that components can be empty
+    rng = random.Random(3)
+    cases = flagged = 0
+    while cases < 200:
+        F = dualize(random_representation(rng))
+        q = F.quiver
+        G = Presheaf(q, {v: 0 if v == q.vertices[-1] else 2 for v in q.vertices}, {
+            e.id: LinearMap.identity(2) if e.dst != q.vertices[-1] else LinearMap.zero(2, 0) for e in q.edges
+        })
+        _, basis = nat_trans_space(F, G)
+        # scaled copies give lists of several natural transformations
+        etas = [NatTrans({v: LinearMap(Matrix(m.matrix.rows, m.matrix.cols, tuple(c * x for x in m.matrix.entries)))
+                          for v, m in b.components.items()}) for c in (1, 2, 3) for b in basis]
+        assert naturality_failures(F, G, etas) == []
+        for k in sorted({0, len(etas) // 2, len(etas) - 1}) if etas else ():
+            for v in q.vertices:
+                if not F.dim(v) * G.dim(v):
+                    continue
+                batch = etas[:k] + [broken_at(etas[k], v)] + etas[k + 1 :]
+                expected = [i for i, eta in enumerate(batch) if not natural_by_hand(F, G, eta)]
+                assert naturality_failures(F, G, batch) == expected
+                assert is_natural_presheaf(F, G, batch[k]) == (expected == [])
+                flagged += expected == [k]
+                cases += 1
+    assert flagged > 50
+    assert naturality_failures(F, G, []) == []
+
+
+def test_batched_naturality_rejects_misshapen_components():
+    q = chain_quiver(2)
+    F = constant_presheaf(q, 1)
+    eta = NatTrans({"v1": LinearMap.identity(1), "v2": LinearMap.identity(2)})
+    with pytest.raises(DimensionMismatchError):
+        naturality_failures(F, F, [identity_nat_trans(F), eta])
 
 
 def test_parallel_edges_cut_hom_space():

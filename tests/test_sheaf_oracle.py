@@ -1,6 +1,8 @@
 """The generator rule of is_sheaf_for_sieve against the whole equalizer
 in sheaf_oracle: verdict reports, witnesses included, must agree byte for
-byte, and is_sheaf must visit the same sieves in the same order."""
+byte, and is_sheaf must visit the same sieves in the same order.  The
+package's builders (section map from the path-map table, compatibility
+equations from edges) are compared with the oracle's path-by-path ones."""
 
 import random
 from fractions import Fraction
@@ -8,11 +10,22 @@ from fractions import Fraction
 import pytest
 
 import quivsheaf.sheaf
-from quivsheaf import LinearMap, Presheaf, TopologySpec, enumerate_sieves, is_sheaf, is_sheaf_for_sieve
+from quivsheaf import (
+    LinearMap,
+    Presheaf,
+    TopologySpec,
+    dualize,
+    enumerate_sieves,
+    is_sheaf,
+    is_sheaf_for_sieve,
+    kernel_basis,
+    section_map,
+)
 from quivsheaf.io import dumps_canonical, verdict_to_json
+from quivsheaf.sheaf import _compatibility_matrix
 
 import sheaf_oracle
-from helpers import all_binary_presheaves, dag_family
+from helpers import all_binary_presheaves, dag_family, random_representation
 
 TOPOLOGIES = ["coarse", "discrete", "discrete+empty", "edge", "graded:0", "graded:1", "graded:2", "graded:3"]
 
@@ -77,3 +90,21 @@ def test_generator_rule_matches_equalizer_on_random_presheaves(seed, monkeypatch
     failures = {verdict for run in runs for verdict, _ in run if '"holds": false' in verdict}
     assert any("compatible_family_not_glued" in v for v in failures)
     assert any("epsilon_not_injective" in v for v in failures)
+
+
+def test_edge_equations_cut_out_the_compatible_families():
+    # the edge-only system has the same row space as the all-paths one, so
+    # its kernel basis (read off the reduced row echelon form) is the same
+    rng = random.Random(11)
+    presheaves = [F for q in dag_family(3, 3) for F in all_binary_presheaves(q, 1)]
+    presheaves += [dualize(random_representation(rng)) for _ in range(150)]
+    pairs = 0
+    for F in presheaves:
+        q = F.quiver
+        for s in (s for v in q.vertices for s in enumerate_sieves(q, v)):
+            assert section_map(F, s) == sheaf_oracle.section_map(F, s), (F, s)
+            edges, paths = _compatibility_matrix(F, s), sheaf_oracle.compatibility_matrix(F, s)
+            assert edges.cols == paths.cols and edges.rows <= paths.rows
+            assert kernel_basis(edges) == kernel_basis(paths), (F, s)
+            pairs += 1
+    assert pairs == 4653
