@@ -1,6 +1,7 @@
 """Comparison machinery between locally constant sheaves and coarse
-sheaves: the two candidate left adjoints built from finite universal
-constructions, the adjunction dimension check, and transport/monodromy.
+sheaves: the two candidate left adjoints (the pointwise extension, read
+from the generator of the maximal sieve, and the component-wide colimit),
+the adjunction dimension check, and transport/monodromy.
 The inclusion of locally constant sheaves into coarse sheaves is the
 identity on data, fully faithful by definition, and has no helper.
 
@@ -21,19 +22,11 @@ from .linalg import (
     colimit,
     inverse_map,
     is_isomorphism,
-    limit,
     rank,
-    solve,
 )
-from .presheaf import (
-    NatTrans,
-    Presheaf,
-    nat_trans_space,
-    naturality_failures,
-    path_maps,
-)
-from .quiver import connected_components, slice_objects
-from .sheaf import is_discrete_sheaf_criterion
+from .presheaf import NatTrans, Presheaf, nat_trans_space, naturality_failures
+from .quiver import connected_components
+from .sheaf import _generator_maps, is_discrete_sheaf_criterion
 from .sieves import _vertex_table
 
 
@@ -55,61 +48,25 @@ class NonInvertibleEdgeError(FunctorError):
 class PointwiseExtensionReport:
     vertex: str
     dim: int
-    comparison: LinearMap  # F(v) -> the universal space, via the identity node
+    comparison: LinearMap  # F(v) -> the compatible families, at the generators
     comparison_is_iso: bool
 
 
 def left_adjoint_literal(F: Presheaf, v: str) -> PointwiseExtensionReport:
     """Pointwise extension over all morphisms into v.
 
-    Builds the diagram indexed by morphisms f: u -> v (node f carries
-    F(u); each factorization g with f o g = f' contributes the map F(g)
-    from node f to node f') and computes its universal space together with
-    the canonical comparison from F(v) at the identity node.  The
-    comparison is an isomorphism for every presheaf: the identity morphism
-    is terminal among morphisms into v, so the construction collapses back
-    to F(v) and cannot produce a locally constant sheaf.
+    The limit over the slice of morphisms into v is the space of matching
+    families for the maximal sieve on v (Mac Lane & Moerdijk, III.4).  A
+    compatible family is fixed by its values at the sieve's generators,
+    and the maximal sieve has one, the identity, so the extension has
+    dimension sigma = dim F(v) and the comparison from F(v) is the stacked
+    generator map, the identity.  It is an isomorphism for every presheaf,
+    so the construction collapses back to F(v) and cannot produce a
+    locally constant sheaf.
     """
-    q = F.quiver
-    sl = slice_objects(q, v)
-    maps = path_maps(F, v)  # in the order of sl.objects; builds every dom f's table
-    nodes = [F.dim(f.source) for f in sl.objects]
-    arrows = []
-    for i_fprime, i_f, g in sl.arrows:
-        # F(g): F(dom f) -> F(dom f'), i.e. node i_f -> node i_fprime
-        u = g.target
-        arrows.append((i_f, i_fprime, LinearMap(path_maps(F, u)[_vertex_table(q, u).index[g]])))
-    diagram = DiagramOfSpaces.build(nodes, arrows)
-    dim, cone = limit(diagram)
-
-    # comparison: columns are the coordinates of (F(f)(b))_f in the
-    # universal space's basis, for b ranging over a basis of F(v)
-    stacked = Matrix.stack_rows(maps, F.dim(v))
-    basis_cols = Matrix.from_rows(_universal_basis_rows(cone, nodes, dim), dim)
-    comparison_cols = []
-    for j in range(F.dim(v)):
-        target = stacked.col(j)
-        x = solve(basis_cols, target)
-        if x is None:
-            raise AssertionError("section image escapes the universal space")
-        comparison_cols.append(x)
-    comparison = LinearMap(
-        Matrix.from_rows(
-            [[comparison_cols[j][i] for j in range(F.dim(v))] for i in range(dim)],
-            F.dim(v),
-        )
-    )
-    return PointwiseExtensionReport(v, dim, comparison, is_isomorphism(comparison))
-
-
-def _universal_basis_rows(cone, nodes, dim):
-    """Rows of the (sum of nodes) x dim matrix whose columns are the
-    universal space's basis vectors, recovered from the cone legs."""
-    rows = []
-    for leg, node_dim in zip(cone, nodes):
-        for i in range(node_dim):
-            rows.append([leg.matrix.entry(i, k) for k in range(dim)])
-    return rows
+    _, stacked = _generator_maps(F, v, _vertex_table(F.quiver, v).maximal_mask)
+    comparison = LinearMap(stacked)
+    return PointwiseExtensionReport(v, stacked.rows, comparison, is_isomorphism(comparison))
 
 
 @dataclass(frozen=True)

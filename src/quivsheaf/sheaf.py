@@ -1,28 +1,28 @@
 """Deciding the sheaf condition for a sieve from its generators.
 
 For a sieve S on v the section map stacks the restriction maps of the
-sieve members; the compatibility space is the subspace of the product cut
-out by the precomposition equations.  The presheaf satisfies the sheaf
-condition for S when the section map is injective and its image is the
-whole compatibility space.  In a free path category every member of S is
-one generator of S (a member whose parent in the path tree is not a
-member) followed by a path, in exactly one way, so the compatible
-families are free on their values at the generators r, and the condition
-holds iff F(v) -> sum of F(dom r) is square and of full rank.
-is_sheaf_for_sieve decides that by one exact rank over the presheaf's
-table of path maps; the equalizer itself (section_map, compatibility_space,
-glue) supplies the witness for a family that does not glue.  Its equations
-are F(e) x_f = x_(f o e) for edges e only: every path is a composite of
-edges, so they cut out the same space as the equations of all paths.
+sieve members, and a compatible family is a vector of sections x_f with
+x_(f o g) = F(g) x_f.  The presheaf satisfies the sheaf condition for S
+when every compatible family comes from exactly one section.  In a free
+path category every member of S is one generator of S (a member whose
+parent in the path tree is not a member) followed by a path, in exactly
+one way, so a compatible family is fixed by its values at the generators
+r, and any values there extend to one: carry them down each generator's
+subtree, x_(f o e) = F(e) x_f for edges e.  That extension is the one
+description of compatible families here.  The condition holds iff
+F(v) -> sum of F(dom r) is square and of full rank, decided by one exact
+rank over the presheaf's table of path maps; compatibility_space, glue
+and the witness for a family that does not glue are all extensions of
+values at the generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .linalg import LinearMap, Matrix, kernel_basis, rank, solve, is_isomorphism
+from .linalg import LinearMap, Matrix, is_isomorphism, kernel_basis, rank, solve
+from .linalg.matrix import ONE, ZERO
 from .presheaf import DimensionMismatchError, Presheaf, path_maps
 from .quiver import Quiver, edge_morphism
 from .sieves import (
@@ -74,15 +74,6 @@ class SheafVerdict:
     witness: Optional[SectionFamily] = None
 
 
-def _member_offsets(F: Presheaf, s: Sieve):
-    offsets = {}
-    total = 0
-    for f in s.sorted_members():
-        offsets[f] = total
-        total += F.dim(f.source)
-    return offsets, total
-
-
 def section_map(F: Presheaf, s: Sieve) -> LinearMap:
     """epsilon: F(v) -> product over the sieve of F(dom f), stacked blocks."""
     maps = path_maps(F, s.codomain)
@@ -90,35 +81,9 @@ def section_map(F: Presheaf, s: Sieve) -> LinearMap:
     return LinearMap(Matrix.stack_rows([m for i, m in enumerate(maps) if mask >> i & 1], F.dim(s.codomain)))
 
 
-def _compatibility_matrix(F: Presheaf, s: Sieve) -> Matrix:
-    """One block F(e) x_f = x_(f o e) per member f and edge e into dom f."""
-    q = F.quiver
-    check_sieve(q, s)  # raises NotASieveError for a set that is not closed
-    table = _vertex_table(q, s.codomain)
-    offsets, total = _member_offsets(F, s)
-    rows = []
-    for f, start in offsets.items():
-        for c in table.children[table.index[f]]:
-            # f o e is the child c of f in the path tree, a member by closure
-            fe = table.morphisms[c]
-            me = F.edge_map(fe.edges[0]).matrix  # F(dom f) -> F(dom fe)
-            for i in range(me.rows):
-                row = [Fraction(0)] * total
-                row[start : start + me.cols] = me.row(i)
-                row[offsets[fe] + i] -= 1
-                rows.append(row)
-    return Matrix.from_rows(rows, total)
-
-
-def compatibility_space(F: Presheaf, s: Sieve) -> tuple:
-    """Dimension and basis of the space of compatible families over s."""
-    basis = kernel_basis(_compatibility_matrix(F, s))
-    return len(basis), [SectionFamily.from_vector(F, s, vec) for vec in basis]
-
-
-def _generator_maps(F: Presheaf, s: Sieve, mask: int) -> tuple:
-    """The generators r of s and F(v) -> sum of F(dom r), their maps stacked."""
-    v = s.codomain
+def _generator_maps(F: Presheaf, v: str, mask: int) -> tuple:
+    """The generators r of the sieve `mask` on v and F(v) -> sum of
+    F(dom r), their maps stacked."""
     table = _vertex_table(F.quiver, v)
     generators = table.generators(mask)
     maps = path_maps(F, v)
@@ -126,12 +91,41 @@ def _generator_maps(F: Presheaf, s: Sieve, mask: int) -> tuple:
     return [table.morphisms[r] for r in generators], stacked
 
 
+def _extend(F: Presheaf, s: Sieve, mask: int, values) -> SectionFamily:
+    """The compatible family on s (closed, with mask `mask`) whose values at
+    the generators, in order, are the blocks of `values`, a vector of the
+    sum of F(dom r): each value is carried down its generator's subtree,
+    x_(f o e) = F(e) x_f, parents before children."""
+    table = _vertex_table(F.quiver, s.codomain)
+    sections = {}
+    pos = 0
+    for r in table.generators(mask):
+        d = F.dim(table.morphisms[r].source)
+        sections[r] = tuple(values[pos : pos + d])
+        pos += d
+    # a child's index is larger than its parent's
+    for i in range(1, len(table.morphisms)):
+        if mask >> i & 1 and i not in sections:
+            sections[i] = F.edge_map(table.morphisms[i].edges[0]).apply(sections[table.parent[i]])
+    return SectionFamily(s, {table.morphisms[i]: x for i, x in sections.items()})
+
+
+def compatibility_space(F: Presheaf, s: Sieve) -> tuple:
+    """Dimension and basis of the space of compatible families over s: the
+    extensions of the unit vectors of the sum of F(dom r)."""
+    mask = check_sieve(F.quiver, s)
+    _, stacked = _generator_maps(F, s.codomain, mask)
+    sigma = stacked.rows
+    units = [[ONE if i == j else ZERO for i in range(sigma)] for j in range(sigma)]
+    return sigma, [_extend(F, s, mask, unit) for unit in units]
+
+
 def glue(F: Presheaf, family: SectionFamily) -> Optional[tuple]:
     """The glued section for a compatible family, or None.
 
-    A compatible family is fixed by its sections at the generators r of
-    the sieve, so a particular solution of F(v) -> sum of F(dom r) is
-    returned.
+    A family is compatible exactly when it is the extension of its own
+    values at the generators r of the sieve; a particular solution of
+    F(v) -> sum of F(dom r) on those values is returned.
     """
     s = family.sieve
     for f in s.sorted_members():
@@ -139,12 +133,12 @@ def glue(F: Presheaf, family: SectionFamily) -> Optional[tuple]:
             raise DimensionMismatchError(
                 f"section at {f.label()} has wrong length"
             )
-    vec = family.to_vector()
-    compat = _compatibility_matrix(F, s)
-    if any(x != 0 for x in compat.apply(vec)):
+    mask = check_sieve(F.quiver, s)
+    generators, stacked = _generator_maps(F, s.codomain, mask)
+    values = [x for r in generators for x in family.sections[r]]
+    if _extend(F, s, mask, values).to_vector() != family.to_vector():
         return None
-    generators, stacked = _generator_maps(F, s, _vertex_table(F.quiver, s.codomain).mask_of(s))
-    return solve(stacked, [x for r in generators for x in family.sections[r]])
+    return solve(stacked, values)
 
 
 def is_sheaf_for_sieve(
@@ -154,32 +148,25 @@ def is_sheaf_for_sieve(
 ) -> SheafVerdict:
     """The sheaf condition for s, decided on the generators of s.
 
-    Every member of s is a generator r followed by a path, in exactly one
-    way, so a compatible family is free on its values at the generators:
-    the families form the sum of F(dom r), of dimension sigma, and the
-    section map is injective iff F(v) -> sum F(dom r), the generator maps
-    stacked, is.  Hence F is a sheaf for s iff that map is square and of
-    full rank; sigma < dim F(v) fails without elimination.  The maps F(r)
-    come from path_maps, which checks functoriality once per vertex.  A
-    compatible family that does not glue is found as the equalizer finds
-    it: the first basis vector of the compatibility space whose values at
-    the generators are outside the image of the stacked map.
+    A compatible family is free on its values at the generators r: the
+    families form the sum of F(dom r), of dimension sigma, and the section
+    map is injective iff F(v) -> sum F(dom r), the generator maps stacked,
+    is.  Hence F is a sheaf for s iff that map is square and of full rank;
+    sigma < dim F(v) fails without elimination.  The maps F(r) come from
+    path_maps, which checks functoriality once per vertex.  When the map
+    is injective but sigma is larger, the first kernel vector of its
+    transpose is orthogonal to its image, so not in it, and its extension
+    is the compatible family that does not glue.
     """
-    q = F.quiver
-    mask = check_sieve(q, s)
+    mask = check_sieve(F.quiver, s)
     v = s.codomain
-    generators, stacked = _generator_maps(F, s, mask)
+    _, stacked = _generator_maps(F, v, mask)
     d = F.dim(v)
     sigma = stacked.rows
     if sigma < d or rank(stacked) < d:
         verdict = SheafVerdict(False, v, s, EPSILON_NOT_INJECTIVE)
     elif sigma > d:
-        witness = None
-        for vec in kernel_basis(_compatibility_matrix(F, s)):
-            family = SectionFamily.from_vector(F, s, vec)
-            if solve(stacked, [x for r in generators for x in family.sections[r]]) is None:
-                witness = family
-                break
+        witness = _extend(F, s, mask, kernel_basis(stacked.transpose())[0])
         verdict = SheafVerdict(False, v, s, FAMILY_NOT_GLUED, witness)
     else:
         verdict = SheafVerdict(True, v)

@@ -256,16 +256,13 @@ class _VertexTable:
                 # a vertex without incoming edges is covered only by its
                 # maximal sieve, the identity alone, keeping GT1
                 tests = (False, [sum(1 << c for c in cs) or 1 << i for i, cs in enumerate(self.children)])
-            elif t.kind == "graded":
-                # the paths under i no longer than len(i) + grade: indices
-                # run by length, so these are the low bits of the subtree
-                upto = {m.length: (2 << i) - 1 for i, m in enumerate(self.morphisms)}
-                longest = [m.length + t.grade for m in self.morphisms]
-                tests = (True, [sub & upto.get(most, sub) for most, sub in zip(longest, self.subtree)])
             elif t.include_empty:
                 tests = (True, [0] * len(self.subtree))
-            else:  # coarse needs all of the subtree, discrete any of it
-                tests = (t.kind == "coarse", self.subtree)
+            else:
+                # coarse needs all of the subtree, discrete any of it; graded
+                # asks for the paths of length <= n, which contain the
+                # identity, and a sieve with the identity is maximal
+                tests = (t.kind != "discrete", self.subtree)
             self._probes[t] = tests
         return self._probes[t]
 
@@ -298,8 +295,8 @@ def check_sieve(q: Quiver, s: Sieve) -> int:
 
 
 def is_covering(t: TopologySpec, s: Sieve, q: Quiver) -> bool:
-    table = _vertex_table(q, s.codomain)
-    return table.covers(t, table.mask_of(s))
+    """Whether s covers under t; raises NotASieveError unless s is closed."""
+    return _vertex_table(q, s.codomain).covers(t, check_sieve(q, s))
 
 
 def enumerate_sieves(q: Quiver, v: str, limit: int = DEFAULT_SIEVE_LIMIT) -> list:

@@ -12,6 +12,7 @@ from quivsheaf import (
     Presheaf,
     check_adjunction,
     constant_presheaf,
+    dualize,
     is_isomorphism,
     left_adjoint_component,
     left_adjoint_literal,
@@ -22,6 +23,7 @@ from quivsheaf import (
 from quivsheaf.functors import FunctorError, NotDiscreteSheafError
 from quivsheaf.presheaf import is_natural_presheaf
 
+import functor_oracle
 from helpers import (
     abc_quiver,
     chain_quiver,
@@ -53,9 +55,20 @@ def test_literal_adjoint_comparison_is_always_iso():
     )
     for v in q.vertices:
         rep = left_adjoint_literal(F, v)
+        reference = functor_oracle.left_adjoint_literal(F, v)
+        assert (rep.dim, rep.comparison_is_iso) == (reference.dim, reference.comparison_is_iso)
         assert rep.dim == F.dim(v)
         assert rep.comparison_is_iso
         assert is_isomorphism(rep.comparison)
+
+
+def test_literal_adjoint_matches_slice_limit_on_random_presheaves():
+    rng = random.Random(31)
+    for _ in range(25):
+        F = dualize(random_representation(rng))
+        for v in F.quiver.vertices:
+            rep, reference = left_adjoint_literal(F, v), functor_oracle.left_adjoint_literal(F, v)
+            assert (rep.dim, rep.comparison_is_iso) == (reference.dim, reference.comparison_is_iso)
 
 
 def test_component_adjoint_on_chain_is_limit_free_colimit():

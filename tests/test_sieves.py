@@ -6,7 +6,9 @@ import weakref
 import pytest
 
 from quivsheaf import (
+    PathMorphism,
     Quiver,
+    Sieve,
     TopologySpec,
     audit_axioms,
     covering_sieves,
@@ -22,6 +24,7 @@ from quivsheaf.sieves import (
     CodomainMismatchError,
     Gt2Counterexample,
     InvalidTopologyError,
+    NotASieveError,
     TooManyMorphismsError,
     WrongCodomainError,
     is_closed,
@@ -94,6 +97,19 @@ def test_covering_sieves_match_oracle():
                 want = [s for s in sieve_oracle.all_sieves(q, v) if sieve_oracle.covers(t, q, s)]
                 assert covering_sieves(q, t, v) == want
                 assert all(is_covering(t, s, q) for s in want)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_is_covering_rejects_a_set_that_is_not_a_sieve(topology):
+    # {e2} on a -> b -> c lacks e1.e2; deciding its mask as given would
+    # call it covering under discrete and edge
+    q = abc_quiver()
+    unclosed = Sieve("c", frozenset({PathMorphism("b", "c", ("e2",))}))
+    with pytest.raises(NotASieveError):
+        is_covering(TopologySpec.parse(topology), unclosed, q)
+    stray = Sieve("c", frozenset({PathMorphism("a", "b", ("e1",))}))
+    with pytest.raises(NotASieveError):
+        is_covering(TopologySpec.parse(topology), stray, q)
 
 
 def test_audit_checks_the_limit_before_listing_paths():
