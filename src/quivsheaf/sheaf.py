@@ -10,10 +10,16 @@ one way, so a compatible family is fixed by its values at the generators
 r, and any values there extend to one: carry them down each generator's
 subtree, x_(f o e) = F(e) x_f for edges e.  That extension is the one
 description of compatible families here.  The condition holds iff
-F(v) -> sum of F(dom r) is square and of full rank, decided by one exact
-rank over the presheaf's table of path maps; compatibility_space, glue
-and the witness for a family that does not glue are all extensions of
-values at the generators.
+F(v) -> sum of F(dom r) is square and of full rank; compatibility_space,
+glue and the witness for a family that does not glue are all extensions
+of values at the generators.
+
+The decision reads the shape of the generators before any map.  A sieve
+generated by the identity (a maximal sieve, the only covering sieve of
+coarse and graded:n) holds for every presheaf, and a generator sum
+sigma = sum of dim F(dom r) below dim F(v) fails on dimensions.  Only the
+other sieves need the presheaf's table of path maps and one exact rank;
+every table that is built is checked for functoriality.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .sieves import (
     TopologySpec,
     _vertex_table,
     check_sieve,
-    covering_sieves,
     generate_sieve,
 )
 
@@ -75,19 +80,24 @@ class SheafVerdict:
 
 
 def section_map(F: Presheaf, s: Sieve) -> LinearMap:
-    """epsilon: F(v) -> product over the sieve of F(dom f), stacked blocks."""
+    """epsilon: F(v) -> product over the sieve of F(dom f), stacked blocks;
+    raises NotASieveError unless s is closed."""
+    mask = check_sieve(F.quiver, s)
     maps = path_maps(F, s.codomain)
-    mask = _vertex_table(F.quiver, s.codomain).mask_of(s)
     return LinearMap(Matrix.stack_rows([m for i, m in enumerate(maps) if mask >> i & 1], F.dim(s.codomain)))
 
 
 def _generator_maps(F: Presheaf, v: str, mask: int) -> tuple:
     """The generators r of the sieve `mask` on v and F(v) -> sum of
-    F(dom r), their maps stacked."""
+    F(dom r), their maps stacked.  The identity alone stacks to the
+    identity of F(v), read without the table of path maps."""
     table = _vertex_table(F.quiver, v)
     generators = table.generators(mask)
-    maps = path_maps(F, v)
-    stacked = Matrix.stack_rows([maps[r] for r in generators], F.dim(v))
+    if generators == [0]:
+        stacked = Matrix.identity(F.dim(v))
+    else:
+        maps = path_maps(F, v)
+        stacked = Matrix.stack_rows([maps[r] for r in generators], F.dim(v))
     return [table.morphisms[r] for r in generators], stacked
 
 
@@ -141,6 +151,30 @@ def glue(F: Presheaf, family: SectionFamily) -> Optional[tuple]:
     return solve(stacked, values)
 
 
+def _decide(F: Presheaf, table, mask: int, s: Optional[Sieve] = None) -> SheafVerdict:
+    """The sheaf condition for the closed sieve `mask` on table.vertex, from
+    the shape of its generators r first.  The identity alone holds.  A sum
+    sigma of dim F(dom r) below dim F(v) fails with no map built.  Else the
+    rank of the stacked generator maps decides.  s, the sieve, is built
+    from the mask when a failing verdict needs it and none is given."""
+    v = table.vertex
+    if mask & 1:
+        return SheafVerdict(True, v)
+    d = F.dim(v)
+    sigma = sum(F.dim(table.morphisms[r].source) for r in table.generators(mask))
+    diagnosis, values = EPSILON_NOT_INJECTIVE, None
+    if sigma >= d:
+        _, stacked = _generator_maps(F, v, mask)
+        if rank(stacked) == d:
+            if sigma == d:
+                return SheafVerdict(True, v)
+            diagnosis, values = FAMILY_NOT_GLUED, kernel_basis(stacked.transpose())[0]
+    if s is None:
+        s = table.sieve_of(mask)
+    witness = None if values is None else _extend(F, s, mask, values)
+    return SheafVerdict(False, v, s, diagnosis, witness)
+
+
 def is_sheaf_for_sieve(
     F: Presheaf,
     s: Sieve,
@@ -151,25 +185,17 @@ def is_sheaf_for_sieve(
     A compatible family is free on its values at the generators r: the
     families form the sum of F(dom r), of dimension sigma, and the section
     map is injective iff F(v) -> sum F(dom r), the generator maps stacked,
-    is.  Hence F is a sheaf for s iff that map is square and of full rank;
-    sigma < dim F(v) fails without elimination.  The maps F(r) come from
-    path_maps, which checks functoriality once per vertex.  When the map
-    is injective but sigma is larger, the first kernel vector of its
-    transpose is orthogonal to its image, so not in it, and its extension
-    is the compatible family that does not glue.
+    is.  Hence F is a sheaf for s iff that map is square and of full rank.
+    The identity alone stacks to the identity and holds, and sigma <
+    dim F(v) fails; neither reads a path map.  Otherwise the maps F(r)
+    come from path_maps, which checks functoriality once per vertex.  When
+    the map is injective but sigma is larger, the first kernel vector of
+    its transpose is orthogonal to its image, so not in it, and its
+    extension is the compatible family that does not glue.  Raises
+    NotASieveError unless s is closed.
     """
     mask = check_sieve(F.quiver, s)
-    v = s.codomain
-    _, stacked = _generator_maps(F, v, mask)
-    d = F.dim(v)
-    sigma = stacked.rows
-    if sigma < d or rank(stacked) < d:
-        verdict = SheafVerdict(False, v, s, EPSILON_NOT_INJECTIVE)
-    elif sigma > d:
-        witness = _extend(F, s, mask, kernel_basis(stacked.transpose())[0])
-        verdict = SheafVerdict(False, v, s, FAMILY_NOT_GLUED, witness)
-    else:
-        verdict = SheafVerdict(True, v)
+    verdict = _decide(F, _vertex_table(F.quiver, s.codomain), mask, s)
     if recorder is not None:
         recorder(F, s, verdict)
     return verdict
@@ -182,11 +208,17 @@ def is_sheaf(
     recorder: Optional[Callable] = None,
 ) -> SheafVerdict:
     """Conjunction of the per-sieve check over all covering sieves of t,
-    vertices and sieves in canonical order; first failure reported."""
+    vertices and sieves in canonical order; first failure reported.  The
+    enumerated masks are closed, so each is decided as it stands, and a
+    Sieve is built for the recorder or a failing verdict only."""
     q = F.quiver
     for v in q.vertices:
-        for s in covering_sieves(q, t, v, limit):
-            verdict = is_sheaf_for_sieve(F, s, recorder)
+        table = _vertex_table(q, v)
+        for mask in table.covering_masks(t, limit):
+            s = None if recorder is None else table.sieve_of(mask)
+            verdict = _decide(F, table, mask, s)
+            if recorder is not None:
+                recorder(F, s, verdict)
             if not verdict.holds:
                 return verdict
     return SheafVerdict(True)

@@ -241,9 +241,12 @@ class _VertexTable:
                     unions = [u | s for u in unions for s in under[c]]
                 unions.append(self.subtree[i])
                 under[i] = unions
+            # among sieves of one size the member lists compare as the masks
+            # read from bit 0 down, reversed: the first member that differs
+            # is the highest bit that differs
             self._sieve_masks = sorted(
                 under[0],
-                key=lambda mask: (bin(mask).count("1"), [i for i in range(n) if mask >> i & 1]),
+                key=lambda mask: (mask.bit_count(), -int(f"{mask:0{n}b}"[::-1], 2)),
             )
         return self._sieve_masks
 
@@ -266,15 +269,29 @@ class _VertexTable:
             self._probes[t] = tests
         return self._probes[t]
 
-    def covered_along(self, t: TopologySpec, mask: int) -> int:
-        """Bits of the morphisms along which the sieve `mask` pulls back to
-        a covering sieve; bit 0, the identity, says whether it covers."""
+    def covered_along(self, t: TopologySpec, masks: list) -> list:
+        """For each sieve in `masks`, the bits of the morphisms along which it
+        pulls back to a covering sieve; bit 0, the identity, says whether it
+        covers."""
         need_all, probes = self.probes(t)
-        return sum(1 << i for i, p in enumerate(probes) if (mask & p == p if need_all else mask & p))
+        return [
+            sum(1 << i for i, p in enumerate(probes) if (mask & p == p if need_all else mask & p))
+            for mask in masks
+        ]
 
     def covers(self, t: TopologySpec, mask: int) -> bool:
         need_all, probes = self.probes(t)
         return mask & probes[0] == probes[0] if need_all else bool(mask & probes[0])
+
+    def covering_masks(self, t: TopologySpec, limit: int) -> list:
+        """The covering sieves of t, canonical order.  The coarse topology
+        needs no enumeration, and so no limit: its only covering sieve is
+        the maximal one."""
+        if t.kind == "coarse":
+            return [self.maximal_mask]
+        need_all, probes = self.probes(t)
+        root = probes[0]
+        return [mask for mask in self.sieve_masks(limit) if (mask & root == root if need_all else mask & root)]
 
 
 def _vertex_table(q: Quiver, v: str) -> _VertexTable:
@@ -308,19 +325,9 @@ def enumerate_sieves(q: Quiver, v: str, limit: int = DEFAULT_SIEVE_LIMIT) -> lis
 def covering_sieves(
     q: Quiver, t: TopologySpec, v: str, limit: int = DEFAULT_SIEVE_LIMIT
 ) -> list:
-    """All covering sieves of t at v, canonical order.
-
-    The coarse topology needs no enumeration: its only covering sieve is
-    the maximal one.
-    """
+    """All covering sieves of t at v, canonical order."""
     table = _vertex_table(q, v)
-    if t.kind == "coarse":
-        return [table.sieve_of(table.maximal_mask)]
-    return [
-        table.sieve_of(mask)
-        for mask in table.sieve_masks(limit)
-        if table.covers(t, mask)
-    ]
+    return [table.sieve_of(mask) for mask in table.covering_masks(t, limit)]
 
 
 @dataclass(frozen=True)
@@ -387,7 +394,7 @@ def audit_axioms(
         if not (gt2.passed or gt3.passed):
             break
         masks = table.sieve_masks(limit)
-        along = [table.covered_along(t, mask) for mask in masks]
+        along = table.covered_along(t, masks)
         covering = [(mask, a) for mask, a in zip(masks, along) if a & 1]
 
         # GT2: a covering sieve pulls back to a covering sieve along every f;

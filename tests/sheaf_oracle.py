@@ -6,12 +6,26 @@ dimension of the compatibility space.  This is the check that the
 generator rule in quivsheaf.sheaf replaced.  Its section map and its
 all-paths compatibility matrix are built here, path by path through
 eval_presheaf, so the oracle shares no builder with the package's sheaf
-module."""
+module.  generator_rule decides every sieve by the rank of its stacked
+generator maps, the rule without the shortcuts the package takes, and
+is_sheaf is the definitional loop over the covering sieves, the reference
+for the package's is_sheaf, which decides masks without listing sieves."""
 
 from fractions import Fraction
 from typing import Callable, Optional
 
-from quivsheaf import Presheaf, Sieve, compose, eval_presheaf, morphisms_into
+from quivsheaf import (
+    PathMorphism,
+    Presheaf,
+    Sieve,
+    TopologySpec,
+    compose,
+    enumerate_sieves,
+    eval_presheaf,
+    is_covering,
+    maximal_sieve,
+    morphisms_into,
+)
 from quivsheaf.linalg import LinearMap, Matrix, kernel_basis, rank, solve
 from quivsheaf.sheaf import (
     EPSILON_NOT_INJECTIVE,
@@ -19,7 +33,7 @@ from quivsheaf.sheaf import (
     SectionFamily,
     SheafVerdict,
 )
-from quivsheaf.sieves import check_sieve
+from quivsheaf.sieves import DEFAULT_SIEVE_LIMIT, check_sieve
 
 
 def section_map(F: Presheaf, s: Sieve) -> LinearMap:
@@ -90,3 +104,63 @@ def is_sheaf_for_sieve(
     if recorder is not None:
         recorder(F, s, verdict)
     return verdict
+
+
+def generator_rule(
+    F: Presheaf,
+    s: Sieve,
+    recorder: Optional[Callable] = None,
+) -> SheafVerdict:
+    """The generator rule on every sieve, with no shortcut: the generators
+    r of s (members whose path without its first edge is not a member),
+    F(v) -> sum of F(dom r) stacked path by path, and one rank.  The
+    witness is the first kernel vector of the transpose, each value x_r
+    carried to the members r o g as F(g) x_r."""
+    check_sieve(F.quiver, s)
+    v, d = s.codomain, F.dim(s.codomain)
+    members = s.sorted_members()
+    inside = {f.edges for f in members}
+    generators = [f for f in members if not f.edges or f.edges[1:] not in inside]
+    stacked = Matrix.stack_rows([eval_presheaf(F, r).matrix for r in generators], d)
+    if rank(stacked) < d:
+        verdict = SheafVerdict(False, v, s, EPSILON_NOT_INJECTIVE)
+    elif stacked.rows > d:
+        kernel, values, pos = kernel_basis(stacked.transpose())[0], {}, 0
+        for r in generators:
+            values[r] = tuple(kernel[pos : pos + F.dim(r.source)])
+            pos += F.dim(r.source)
+        sections = {}
+        for f in members:
+            r = next(r for r in generators if f.edges[len(f.edges) - len(r.edges) :] == r.edges)
+            g = PathMorphism(f.source, r.source, f.edges[: len(f.edges) - len(r.edges)])
+            sections[f] = eval_presheaf(F, g).apply(values[r])
+        verdict = SheafVerdict(False, v, s, FAMILY_NOT_GLUED, SectionFamily(s, sections))
+    else:
+        verdict = SheafVerdict(True, v)
+    if recorder is not None:
+        recorder(F, s, verdict)
+    return verdict
+
+
+def is_sheaf(
+    F: Presheaf,
+    t: TopologySpec,
+    check: Callable = is_sheaf_for_sieve,
+    limit: int = DEFAULT_SIEVE_LIMIT,
+    recorder: Optional[Callable] = None,
+) -> SheafVerdict:
+    """The first failure of the per-sieve check `check` over the covering
+    sieves, vertices and sieves in canonical order: every sieve that
+    is_covering accepts, or the maximal one alone for coarse, which lists
+    none and so meets no morphism limit."""
+    q = F.quiver
+    for v in q.vertices:
+        if t.kind == "coarse":
+            covering = [maximal_sieve(q, v)]
+        else:
+            covering = [s for s in enumerate_sieves(q, v, limit) if is_covering(t, s, q)]
+        for s in covering:
+            verdict = check(F, s, recorder)
+            if not verdict.holds:
+                return verdict
+    return SheafVerdict(True)

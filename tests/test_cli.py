@@ -140,9 +140,10 @@ def test_check_sheaf_failure_reports_witness(files, tmp_path, capsys):
 
 def test_internal_error_exits_3(files, monkeypatch, capsys):
     # a path-map table that is not functorial is the program's fault, not
-    # a failed sheaf condition and not a bad input
+    # a failed sheaf condition and not a bad input; coarse reads no table,
+    # discrete builds c's for the sieve generated by a -> b -> c
     make_edge_maps_drift(monkeypatch)
-    rc = main(["check-sheaf", "--quiver", files["quiver.json"], "--presheaf", files["const.json"]])
+    rc = main(["check-sheaf", "--quiver", files["quiver.json"], "--presheaf", files["const.json"], "--topology", "discrete"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -19,11 +19,16 @@ from quivsheaf import (
     edge_morphism,
     eval_presheaf,
     eval_representation,
+    generate_sieve,
     hom,
     is_sheaf,
+    is_sheaf_for_sieve,
+    maximal_sieve,
     morphisms_into,
     nat_trans_space,
+    section_map,
 )
+from quivsheaf.functors import left_adjoint_literal
 from quivsheaf.presheaf import (
     DimensionMismatchError,
     NotNaturalError,
@@ -33,8 +38,16 @@ from quivsheaf.presheaf import (
     naturality_failures,
     path_maps,
 )
+from quivsheaf.sheaf import EPSILON_NOT_INJECTIVE
 
-from helpers import abc_quiver, chain_quiver, make_edge_maps_drift, parallel_quiver, random_representation
+from helpers import (
+    abc_quiver,
+    chain_quiver,
+    make_edge_maps_drift,
+    parallel_quiver,
+    random_representation,
+    single_edge_quiver,
+)
 
 
 def two_step_presheaf():
@@ -106,14 +119,40 @@ def test_path_maps_match_eval_presheaf():
 
 
 def test_path_maps_check_functoriality(monkeypatch):
+    # whatever builds c's table checks it: under drifting edge maps every
+    # route to the table raises instead of deciding on a broken one
     q, F = two_step_presheaf()
-    assert is_sheaf(F, TopologySpec.coarse()).holds
-    # the check runs at every vertex is_sheaf visits
-    assert set(F._path_maps) == set(q.vertices)
-    make_edge_maps_drift(monkeypatch)
-    F = Presheaf(q, F.dims, F.edge_maps)
-    with pytest.raises(AssertionError, match="into 'c' are not functorial along the paths from 'b'"):
-        is_sheaf(F, TopologySpec.coarse())
+    a_to_c = compose(edge_morphism(q.edge("e1")), edge_morphism(q.edge("e2")))
+    routes = [
+        lambda G: path_maps(G, "c"),
+        lambda G: is_sheaf(G, TopologySpec.discrete()),
+        lambda G: is_sheaf_for_sieve(G, generate_sieve(q, "c", [a_to_c])),
+        lambda G: section_map(G, maximal_sieve(q, "c")),
+    ]
+    for route in routes:
+        with monkeypatch.context() as patch:
+            make_edge_maps_drift(patch)
+            G = Presheaf(q, F.dims, F.edge_maps)
+            with pytest.raises(AssertionError, match="into 'c' are not functorial along the paths from 'b'"):
+                route(G)
+
+
+def test_sheaf_decisions_that_read_no_map_build_no_table():
+    rng = random.Random(3)
+    for _ in range(10):
+        F = dualize(random_representation(rng))
+        for t in ("coarse", "graded:0", "graded:2"):
+            assert is_sheaf(F, TopologySpec.parse(t)).holds
+        for v in F.quiver.vertices:
+            assert left_adjoint_literal(F, v).comparison_is_iso
+        # the identity generator alone needs no path map
+        assert F._path_maps == {}
+    # sigma = dim F(a) = 1 < dim F(b) = 2 fails on dimensions
+    q = single_edge_quiver()
+    F = Presheaf(q, {"a": 1, "b": 2}, {"e": LinearMap.from_rows([[1, 0]])})
+    verdict = is_sheaf(F, TopologySpec.discrete())
+    assert (verdict.vertex, verdict.failing_sieve.labels(), verdict.diagnosis) == ("b", ["e"], EPSILON_NOT_INJECTIVE)
+    assert "b" not in F._path_maps
 
 
 def test_dualize_transposes_and_is_involutive():

@@ -217,6 +217,8 @@ def test_unclosed_sieve_rejected_not_misdecided():
     with pytest.raises(NotASieveError):
         is_sheaf_for_sieve(F, unclosed)
     with pytest.raises(NotASieveError):
+        section_map(F, unclosed)
+    with pytest.raises(NotASieveError):
         compatibility_space(F, unclosed)
     with pytest.raises(NotASieveError):
         glue(F, SectionFamily(unclosed, {PathMorphism("b", "c", ("e2",)): (1,)}))

@@ -6,16 +6,19 @@ package and cut out by all-paths equations in the oracle, so a witness is
 checked, not compared: it covers exactly the sieve, lies in the kernel of
 the oracle's compatibility matrix, and the oracle's section map cannot
 solve it.  compatibility_space must span that kernel, and glue must agree
-with the oracle's section map on it."""
+with the oracle's section map on it.  is_sheaf, which decides enumerated
+masks by the shape of their generators, must match the definitional loop
+over the covering sieves byte for byte, witness and morphism limit
+included."""
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import quivsheaf.sheaf
 from quivsheaf import (
     LinearMap,
     Presheaf,
@@ -34,6 +37,7 @@ from quivsheaf import (
 )
 from quivsheaf.io import dumps_canonical, verdict_to_json
 from quivsheaf.linalg import Matrix
+from quivsheaf.sieves import TooManyMorphismsError
 
 import sheaf_oracle
 from helpers import all_binary_presheaves, dag_family, random_representation
@@ -61,6 +65,7 @@ def assert_witness_does_not_glue(F, s, witness):
 
 def assert_sieve_agrees(F, s):
     got, want = is_sheaf_for_sieve(F, s), sheaf_oracle.is_sheaf_for_sieve(F, s)
+    assert got == sheaf_oracle.generator_rule(F, s), (F, s)
     assert report(got) == report(want), (F, s)
     assert (got.witness is None) == (want.witness is None), (F, s)
     if got.witness is not None:
@@ -99,9 +104,9 @@ def assert_families_agree(F, s):
             assert glue(F, SectionFamily.from_vector(F, s, unit)) is None, (F, s)
 
 
-def visits(F, t):
+def visits(F, t, decide=is_sheaf):
     log = []
-    verdict = is_sheaf(F, t, recorder=lambda G, s, v: log.append((s, report(v), v.witness)))
+    verdict = decide(F, t, recorder=lambda G, s, v: log.append((s, report(v), v.witness)))
     for s, _, witness in log:
         if witness is not None:
             assert_witness_does_not_glue(F, s, witness)
@@ -137,16 +142,15 @@ def test_generator_rule_matches_equalizer_on_binary_presheaves():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_generator_rule_matches_equalizer_on_random_presheaves(seed, monkeypatch):
+def test_generator_rule_matches_equalizer_on_random_presheaves(seed):
     rng = random.Random(seed)
     presheaves = [random_presheaf(rng, q) for q in QUIVERS for _ in range(2)]
     for F in presheaves:
         assert_every_sieve_agrees(F)
     runs = [[visits(F, TopologySpec.parse(t)) for t in TOPOLOGIES] for F in presheaves]
-    # the same is_sheaf loop with the equalizer in place of the generator rule
-    monkeypatch.setattr(quivsheaf.sheaf, "is_sheaf_for_sieve", sheaf_oracle.is_sheaf_for_sieve)
+    # the definitional loop with the equalizer in place of the generator rule
     for F, got in zip(presheaves, runs):
-        assert got == [visits(F, TopologySpec.parse(t)) for t in TOPOLOGIES], F
+        assert got == [visits(F, TopologySpec.parse(t), sheaf_oracle.is_sheaf) for t in TOPOLOGIES], F
     failures = {verdict for run in runs for verdict, _ in run if '"holds": false' in verdict}
     assert any("compatible_family_not_glued" in v for v in failures)
     assert any("epsilon_not_injective" in v for v in failures)
@@ -167,8 +171,8 @@ def test_compatibility_space_spans_the_equalizer_kernel():
 
 
 @st.composite
-def rational_presheaves(draw):
-    q = draw(st.sampled_from(QUIVERS))
+def rational_presheaves(draw, quivers=QUIVERS):
+    q = draw(st.sampled_from(quivers))
     dims = {v: draw(st.integers(0, 3)) for v in q.vertices}
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     maps = {}
@@ -186,3 +190,26 @@ def test_generator_rule_matches_equalizer_on_hypothesis_presheaves(F):
     for s in (s for v in q.vertices for s in enumerate_sieves(q, v)):
         assert_sieve_agrees(F, s)
         assert_families_agree(F, s)
+
+
+def outcome(decide, F, t, limit):
+    """The verdict, its JSON and the sieves visited, or the vertex at which
+    the morphism limit stopped the run."""
+    log = []
+    try:
+        verdict = decide(F, t, limit=limit, recorder=lambda G, s, v: log.append((s, v)))
+    except TooManyMorphismsError as exc:
+        return ("limit", exc.vertex, log)
+    return verdict, dumps_canonical(verdict_to_json(verdict)), log
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_presheaves(dag_family(4, 4)), st.sampled_from(TOPOLOGIES), st.integers(1, 14))
+def test_is_sheaf_matches_definitional_loop_on_hypothesis_presheaves(F, t, limit):
+    # byte for byte, witness included: is_sheaf decides the enumerated
+    # masks by shape first, the loop runs the unshortened generator rule,
+    # and is_sheaf_for_sieve, on every covering sieve
+    t = TopologySpec.parse(t)
+    want = outcome(partial(sheaf_oracle.is_sheaf, check=sheaf_oracle.generator_rule), F, t, limit)
+    assert outcome(is_sheaf, F, t, limit) == want
+    assert outcome(partial(sheaf_oracle.is_sheaf, check=is_sheaf_for_sieve), F, t, limit) == want
