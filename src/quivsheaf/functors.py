@@ -13,6 +13,7 @@ automorphism per non-tree edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional
 
 from .linalg import (
@@ -136,10 +137,16 @@ def check_adjunction(F: Presheaf, G: Presheaf) -> AdjunctionReport:
     # composites of natural maps are natural; a failure is the program's fault
     if naturality_failures(F, G, composites):
         raise AssertionError("a composite with the adjunction unit is not natural")
-    flattened = [[x for v in vertices for x in eta.component(v).matrix.entries] for eta in composites]
+    # one row per composite, its components side by side over their common
+    # denominator; scaling a row keeps the rank
+    flattened = []
+    for eta in composites:
+        comps = [eta.component(v).matrix for v in vertices]
+        d = lcm(*[m.den for m in comps])
+        flattened.extend(a * (d // m.den) for m in comps for a in m.num)
     width = sum(G.dim(v) * F.dim(v) for v in vertices)
     # the adjunction map is injective iff the composites stay independent
-    unit_spans = rank(Matrix.from_rows(flattened, width)) == left_dim
+    unit_spans = rank(Matrix.from_ints(len(composites), width, tuple(flattened))) == left_dim
     match = left_dim == right_dim and unit_spans
     return AdjunctionReport(left_dim, right_dim, match, unit_spans)
 

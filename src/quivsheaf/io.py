@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .linalg import LinearMap, Matrix
@@ -46,10 +47,16 @@ def rational_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_str(s) -> Fraction:
+def _rational_parts(s) -> tuple:
+    """(numerator, denominator > 0) of a rational literal, not reduced."""
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise ParseError(f"bad rational literal {s!r}")
-    return Fraction(s)
+    a, _, b = s.partition("/")
+    return int(a), int(b or 1)
+
+
+def rational_from_str(s) -> Fraction:
+    return Fraction(*_rational_parts(s))
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -57,14 +64,17 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def matrix_from_json(data, rows: int, cols: int) -> Matrix:
+    """The matrix of a grid of rational literals, read as numerators over
+    the lcm of the literals' denominators."""
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"matrix needs {rows} rows, got {data!r}")
-    grid = []
+    parts = []
     for r in data:
         if not isinstance(r, list) or len(r) != cols:
             raise ParseError(f"matrix row needs {cols} entries, got {r!r}")
-        grid.append([rational_from_str(x) for x in r])
-    return Matrix.from_rows(grid, cols)
+        parts.extend(_rational_parts(x) for x in r)
+    d = lcm(*[b for _, b in parts])
+    return Matrix.from_ints(rows, cols, tuple(a * (d // b) for a, b in parts), d)
 
 
 def quiver_to_json(q: Quiver) -> dict:

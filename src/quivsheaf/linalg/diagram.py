@@ -9,10 +9,10 @@ as quotients of the direct sum by one relation per (arrow, basis vector).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .matrix import LinearMap, Matrix, kernel_basis
+from ._kernels_py import kernel_vectors
+from .matrix import LinearMap, Matrix
 
 
 @dataclass(frozen=True)
@@ -49,28 +49,24 @@ def limit(d: DiagramOfSpaces) -> tuple:
 
     Returns (dim, cone) where cone[i] maps the limit (in the coordinates of
     the returned basis) to node i.  Compatibility for an arrow f: s -> t is
-    f(x_s) = x_t.
+    f(x_s) = x_t, written over the denominator of f.
     """
     offs, total = _offsets(d.nodes)
     rows = []
     for src, dst, f in d.arrows:
-        for i in range(f.codomain_dim):
-            row = [Fraction(0)] * total
-            for j in range(f.domain_dim):
-                row[offs[src] + j] = f.matrix.entry(i, j)
-            row[offs[dst] + i] -= 1
+        m = f.matrix
+        for i in range(m.rows):
+            row = [0] * total
+            row[offs[src] : offs[src] + m.cols] = m.num[i * m.cols : (i + 1) * m.cols]
+            row[offs[dst] + i] -= m.den
             rows.append(row)
-    constraint = Matrix.from_rows(rows, total)
-    basis = kernel_basis(constraint)
+    basis, den = kernel_vectors(rows, total)
     dim = len(basis)
+    # columns of the cone matrix are the node-i blocks of the basis vectors
     cone = []
     for i, node_dim in enumerate(d.nodes):
-        cols = [[vec[offs[i] + r] for r in range(node_dim)] for vec in basis]
-        # columns of the cone matrix are the node-i blocks of the basis vectors
-        mat = Matrix.from_rows(
-            [[cols[k][r] for k in range(dim)] for r in range(node_dim)], dim
-        )
-        cone.append(LinearMap(mat))
+        num = tuple(vec[offs[i] + r] for r in range(node_dim) for vec in basis)
+        cone.append(LinearMap(Matrix.from_ints(node_dim, dim, num, den)))
     return dim, cone
 
 
@@ -80,26 +76,23 @@ def colimit(d: DiagramOfSpaces) -> tuple:
     Returns (dim, cocone) where cocone[i] maps node i into the colimit.
     The quotient map is a basis of the left null space of the relation
     matrix, so the cocone maps commute with every arrow by construction.
+    Each relation is written over the denominator of its arrow's map.
     """
     offs, total = _offsets(d.nodes)
-    relation_cols = []
+    relations = []
     for src, dst, f in d.arrows:
-        for j in range(f.domain_dim):
-            col = [Fraction(0)] * total
-            col[offs[src] + j] += 1
-            for i in range(f.codomain_dim):
-                col[offs[dst] + i] -= f.matrix.entry(i, j)
-            relation_cols.append(col)
-    # rows of the relation-transpose matrix are the relation vectors
-    relations_t = Matrix.from_rows(relation_cols, total)
-    quotient_rows = kernel_basis(relations_t)
+        m = f.matrix
+        for j in range(m.cols):
+            rel = [0] * total
+            rel[offs[src] + j] += m.den
+            for i in range(m.rows):
+                rel[offs[dst] + i] -= m.num[i * m.cols + j]
+            relations.append(rel)
+    # the rows of the quotient map are the vectors orthogonal to every relation
+    quotient_rows, den = kernel_vectors(relations, total)
     dim = len(quotient_rows)
-    projection = Matrix.from_rows(quotient_rows, total)
     cocone = []
     for i, node_dim in enumerate(d.nodes):
-        rows = [
-            [projection.entry(r, offs[i] + j) for j in range(node_dim)]
-            for r in range(dim)
-        ]
-        cocone.append(LinearMap(Matrix.from_rows(rows, node_dim)))
+        num = tuple(x for row in quotient_rows for x in row[offs[i] : offs[i] + node_dim])
+        cocone.append(LinearMap(Matrix.from_ints(dim, node_dim, num, den)))
     return dim, cocone

@@ -1,21 +1,29 @@
 """Exact rational matrices and the linear-algebra decisions built on them.
 
-Entries are ``fractions.Fraction`` and every decision is exact: rank,
-solvability and isomorphism questions are decided by the integer kernel
-in ``_kernels_py``, which builds Fractions only for the entries a result
-holds.  Matrices with zero rows or zero columns are legal and represent maps to or from the zero space.
-Values are immutable after construction and every operation is pure.
+A matrix holds int numerators, row-major, over one positive denominator,
+normalized so that the gcd of the denominator and every numerator is 1
+(the zero matrix has denominator 1).  That form is unique, so two matrices
+are equal exactly when their fields are.  A product multiplies ints and
+normalizes once, and rank, null space, solve and inverse hand the
+numerator rows to the integer kernel in ``_kernels_py`` as they stand.
+``entries`` is the Fraction view of a matrix, built on first use.
+Matrices with zero rows or zero columns are legal and represent maps to or
+from the zero space.  Values are immutable after construction and every
+operation is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import _kernels_py as kernel
-from ._kernels_py import ONE, ZERO
+from ._kernels_py import ONE, ZERO, fraction
 
 Scalar = Fraction
 
@@ -28,19 +36,56 @@ def as_vector(values: Sequence) -> tuple:
     return tuple(frac(x) for x in values)
 
 
-@dataclass(frozen=True)
+def _over_one_denominator(values) -> tuple:
+    """(numerators, d) of rationals: d is the lcm of their denominators."""
+    fracs = [frac(x) for x in values]
+    d = lcm(*[x.denominator for x in fracs])
+    if d == 1:
+        return tuple(x.numerator for x in fracs), 1
+    return tuple(x.numerator * (d // x.denominator) for x in fracs), d
+
+
+def _matrix(rows: int, cols: int, num: tuple, den: int) -> "Matrix":
+    """A Matrix from fields that are already in normal form."""
+    m = object.__new__(Matrix)
+    m.__dict__.update(rows=rows, cols=cols, num=num, den=den)
+    return m
+
+
+def _common_denominator(blocks) -> tuple:
+    """The lcm d of the blocks' denominators and, per block, d over its own."""
+    d = lcm(*[b.den for b in blocks])
+    return d, [d // b.den for b in blocks]
+
+
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """A rows x cols rational matrix, entries stored row-major."""
+    """A rows x cols rational matrix: entry (i, j) is num[i * cols + j] / den."""
 
     rows: int
     cols: int
-    entries: tuple
+    num: tuple
+    den: int
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        # over the lcm of the reduced denominators the form is normal
+        num, den = _over_one_denominator(entries)
+        self.__dict__.update(rows=rows, cols=cols, num=num, den=den)
+
+    @classmethod
+    def from_ints(cls, rows: int, cols: int, num: tuple, den: int = 1) -> "Matrix":
+        """The matrix whose entries are the ints ``num`` (row-major, a tuple)
+        over ``den`` > 0, normalized."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple(a // g for a in num)
+                den //= g
+        return _matrix(rows, cols, num, den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
@@ -51,112 +96,127 @@ class Matrix:
                 raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
-        return cls(len(grid), width, tuple(map(frac, chain.from_iterable(grid))))
+        return cls(len(grid), width, tuple(chain.from_iterable(grid)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return _matrix(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        entries = tuple(ONE if i == j else ZERO for i in range(n) for j in range(n))
-        return cls(n, n, entries)
+        num = [0] * (n * n)
+        num[:: n + 1] = [1] * n
+        return _matrix(n, n, tuple(num), 1)
 
     @classmethod
     def stack_rows(cls, blocks: Sequence["Matrix"], cols: int) -> "Matrix":
-        entries = []
-        total = 0
-        for b in blocks:
-            if b.cols != cols:
-                raise ValueError("column mismatch in row stack")
-            entries.extend(b.entries)
-            total += b.rows
-        return cls(total, cols, tuple(entries))
+        """The blocks one above the other."""
+        if any(b.cols != cols for b in blocks):
+            raise ValueError("column mismatch in row stack")
+        # over the lcm of normal denominators the form is normal again
+        den, scales = _common_denominator(blocks)
+        num = []
+        for b, s in zip(blocks, scales):
+            num.extend(b.num if s == 1 else [a * s for a in b.num])
+        return _matrix(sum(b.rows for b in blocks), cols, tuple(num), den)
+
+    @classmethod
+    def stack_cols(cls, blocks: Sequence["Matrix"], rows: int) -> "Matrix":
+        """The blocks side by side."""
+        if any(b.rows != rows for b in blocks):
+            raise ValueError("row mismatch in column stack")
+        den, scales = _common_denominator(blocks)
+        num = []
+        for i in range(rows):
+            for b, s in zip(blocks, scales):
+                part = b.num[i * b.cols : (i + 1) * b.cols]
+                num.extend(part if s == 1 else [a * s for a in part])
+        return _matrix(rows, sum(b.cols for b in blocks), tuple(num), den)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The entries as Fractions, row-major."""
+        den = self.den
+        return tuple(fraction(a, den) for a in self.num)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return fraction(self.num[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def num_rows(self) -> list:
+        """The numerator rows, as tuples: the matrix times den."""
+        c, num = self.cols, self.num
+        return [num[i * c : (i + 1) * c] for i in range(self.rows)]
+
     def transpose(self) -> "Matrix":
-        entries = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return Matrix(self.cols, self.rows, entries)
+        c, num = self.cols, self.num
+        return _matrix(c, self.rows, tuple(chain.from_iterable(num[j::c] for j in range(c))), self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zero(self.rows, other.cols)
-        grid = kernel.matmul(self.to_rows(), other.to_rows(), other.cols)
-        return Matrix(self.rows, other.cols, tuple(chain.from_iterable(grid)))
+        m, b = other.cols, other.num
+        columns = [b[j::m] for j in range(m)]
+        num = tuple(sum(map(mul, row, col)) for row in self.num_rows() for col in columns)
+        return Matrix.from_ints(self.rows, m, num, self.den * other.den)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product (column-vector convention)."""
-        v = as_vector(vec)
-        if len(v) != self.cols:
+        vn, vd = _over_one_denominator(vec)
+        if len(vn) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((self.entry(i, j) * v[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
+        d = self.den * vd
+        return tuple(fraction(sum(map(mul, row, vn)), d) for row in self.num_rows())
 
 
 def rref(m: Matrix) -> tuple:
     """Reduced row echelon form of ``m`` with its pivot columns."""
-    grid, pivots = kernel.rref_pivots(m.to_rows(), m.cols)
-    return Matrix(m.rows, m.cols, tuple(chain.from_iterable(grid))), tuple(pivots)
+    reduced = m.num_rows()
+    pivots = kernel.reduce_rows(reduced, m.cols)
+    d = lcm(*[row[p] for row, p in zip(reduced, pivots)])
+    num = [a * (d // row[p]) for row, p in zip(reduced, pivots) for a in row]
+    num.extend([0] * ((m.rows - len(pivots)) * m.cols))
+    return Matrix.from_ints(m.rows, m.cols, tuple(num), d), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     """Number of pivots, counted without building any Fraction."""
     if m.rows == 1 or m.cols == 1:
-        return 1 if any(m.entries) else 0
-    return len(kernel.reduce_rows(kernel.integer_rows(m.to_rows()), m.cols, above=False))
+        return 1 if any(m.num) else 0
+    return len(kernel.reduce_rows(m.num_rows(), m.cols, above=False))
 
 
 def kernel_basis(m: Matrix) -> list:
     """Basis of the null space of ``m`` as a list of tuples; [] when injective."""
-    reduced = kernel.integer_rows(m.to_rows())
-    pivots = kernel.reduce_rows(reduced, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        vec = [ZERO] * m.cols
-        vec[f] = ONE
-        for row, p in zip(reduced, pivots):
-            vec[p] = kernel.fraction(-row[f], row[p])
-        basis.append(tuple(vec))
-    return basis
+    vectors, d = kernel.kernel_vectors(m.num_rows(), m.cols)
+    return [tuple(fraction(a, d) for a in vec) for vec in vectors]
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[tuple]:
     """Some particular solution of m x = b, or None when inconsistent."""
-    vec = as_vector(b)
-    if len(vec) != m.rows:
+    # with b = bn / bd, m x = b is (num * bd) x = den * bn row by row
+    bn, bd = _over_one_denominator(b)
+    if len(bn) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     n = m.cols
-    reduced = kernel.integer_rows([row + [x] for row, x in zip(m.to_rows(), vec)])
+    rows = m.num_rows() if bd == 1 else [tuple(a * bd for a in row) for row in m.num_rows()]
+    reduced = [row + (x * m.den,) for row, x in zip(rows, bn)]
     pivots = kernel.reduce_rows(reduced, n + 1)
     if pivots and pivots[-1] == n:
         return None
     x = [ZERO] * n
     for row, p in zip(reduced, pivots):
-        x[p] = kernel.fraction(row[n], row[p])
+        x[p] = fraction(row[n], row[p])
     return tuple(x)
 
 
@@ -165,12 +225,14 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    identity = Matrix.identity(n).to_rows()
-    reduced = kernel.integer_rows([row + unit for row, unit in zip(m.to_rows(), identity)])
+    units = Matrix.identity(n).num_rows()
+    reduced = [row + unit for row, unit in zip(m.num_rows(), units)]
     if kernel.reduce_rows(reduced, 2 * n) != list(range(n)):
         raise ValueError("matrix is singular")
-    entries = tuple(kernel.fraction(row[j], row[i]) for i, row in enumerate(reduced) for j in range(n, 2 * n))
-    return Matrix(n, n, entries)
+    # row i over its pivot is row i of num^-1, and m^-1 is den * num^-1
+    d = lcm(*[row[i] for i, row in enumerate(reduced)])
+    num = tuple(a * (m.den * d // row[i]) for i, row in enumerate(reduced) for a in row[n:])
+    return Matrix.from_ints(n, n, num, d)
 
 
 @dataclass(frozen=True)

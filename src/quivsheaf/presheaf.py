@@ -14,16 +14,11 @@ which makes dualization literally matrix transposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Mapping
 
-from .linalg import (
-    LinearMap,
-    Matrix,
-    kernel_basis,
-    transpose_map,
-)
+from .linalg import LinearMap, Matrix, transpose_map
+from .linalg._kernels_py import kernel_vectors
 from .quiver import PathMorphism, Quiver, UnknownEdgeError
 from .sieves import _vertex_table
 
@@ -159,17 +154,16 @@ def _check_functorial(F: Presheaf, table, maps: list) -> None:
         du = F.dim(u)
         into_u = _vertex_table(F.quiver, u).morphisms
         maps_u = F._path_maps[u]
-        side = Matrix(du, len(fs) * d, tuple(x for r in range(du) for i in fs for x in maps[i].row(r)))
-        composites = Matrix(
-            sum(m.rows for m in maps_u),
-            len(fs) * d,
-            tuple(
-                x
+        side = Matrix.stack_cols([maps[i] for i in fs], du)
+        composites = Matrix.stack_rows(
+            [
+                Matrix.stack_cols(
+                    [maps[table.index[PathMorphism(g.source, v, g.edges + table.morphisms[i].edges)]] for i in fs],
+                    mg.rows,
+                )
                 for g, mg in zip(into_u, maps_u)
-                for r in range(mg.rows)
-                for i in fs
-                for x in maps[table.index[PathMorphism(g.source, v, g.edges + table.morphisms[i].edges)]].row(r)
-            ),
+            ],
+            len(fs) * d,
         )
         if Matrix.stack_rows(maps_u, du) @ side != composites:
             raise AssertionError(
@@ -236,13 +230,17 @@ def naturality_failures(F: Presheaf, G: Presheaf, etas) -> list:
     for e in q.edges if etas else ():
         s, t = e.src, e.dst
         w, h = F.dim(t), G.dim(s)
-        at_t = [eta.component(t).matrix for eta in etas]
-        side = Matrix(G.dim(t), len(etas) * w, tuple(x for r in range(G.dim(t)) for m in at_t for x in m.row(r)))
+        side = Matrix.stack_cols([eta.component(t).matrix for eta in etas], G.dim(t))
         left = G.edge_map(e.id).matrix @ side
         stacked = Matrix.stack_rows([eta.component(s).matrix for eta in etas], F.dim(s))
         right = stacked @ F.edge_map(e.id).matrix
+        # a / b = c / d iff a * d = c * b: numerators over one denominator
+        ln, rn = left.num, right.num
+        if left.den != right.den:
+            ln, rn = [a * right.den for a in ln], [c * left.den for c in rn]
+        lw = len(etas) * w
         for k in range(len(etas)):
-            if any(left.row(r)[k * w : (k + 1) * w] != right.row(k * h + r) for r in range(h)):
+            if any(ln[r * lw + k * w : r * lw + (k + 1) * w] != rn[(k * h + r) * w : (k * h + r + 1) * w] for r in range(h)):
                 failed.add(k)
     return sorted(failed)
 
@@ -285,37 +283,32 @@ def nat_trans_space(F: Presheaf, G: Presheaf) -> tuple:
         offsets[v] = total
         total += G.dim(v) * F.dim(v)
 
-    def unknown(v, i, j):
-        # entry (i, j) of the component at v, row-major
-        return offsets[v] + i * F.dim(v) + j
-
     rows = []
     for e in q.edges:
         fe = F.edge_map(e.id).matrix  # F(t) -> F(s)
         ge = G.edge_map(e.id).matrix  # G(t) -> G(s)
+        fs, ft, gt = F.dim(e.src), F.dim(e.dst), G.dim(e.dst)
+        src, dst = offsets[e.src], offsets[e.dst]
         # equation block: eta_s . F(e) - G(e) . eta_t = 0, one row per
-        # (i in G(s), j in F(t))
+        # (i in G(s), j in F(t)), times the denominators of F(e) and G(e);
+        # the unknown (i, k) of the component at v is offsets[v] + i * F(v) + k
         for i in range(G.dim(e.src)):
-            for j in range(F.dim(e.dst)):
-                row = [Fraction(0)] * total
-                for k in range(F.dim(e.src)):
-                    row[unknown(e.src, i, k)] += fe.entry(k, j)
-                for k in range(G.dim(e.dst)):
-                    row[unknown(e.dst, k, j)] -= ge.entry(i, k)
+            for j in range(ft):
+                row = [0] * total
+                for k in range(fs):
+                    row[src + i * fs + k] += fe.num[k * ft + j] * ge.den
+                for k in range(gt):
+                    row[dst + k * ft + j] -= ge.num[i * gt + k] * fe.den
                 rows.append(row)
 
-    system = Matrix.from_rows(rows, total)
-    basis_vectors = kernel_basis(system)
+    basis_vectors, den = kernel_vectors(rows, total)
 
     def unpack(vec) -> NatTrans:
         components = {}
         for v in q.vertices:
-            gd, fd = G.dim(v), F.dim(v)
+            size = G.dim(v) * F.dim(v)
             start = offsets[v]
-            grid = [
-                [vec[start + i * fd + j] for j in range(fd)] for i in range(gd)
-            ]
-            components[v] = LinearMap(Matrix.from_rows(grid, fd))
+            components[v] = LinearMap(Matrix.from_ints(G.dim(v), F.dim(v), tuple(vec[start : start + size]), den))
         return NatTrans(components)
 
     basis = [unpack(vec) for vec in basis_vectors]

@@ -284,10 +284,13 @@ class _VertexTable:
         return mask & probes[0] == probes[0] if need_all else bool(mask & probes[0])
 
     def covering_masks(self, t: TopologySpec, limit: int) -> list:
-        """The covering sieves of t, canonical order.  The coarse topology
-        needs no enumeration, and so no limit: its only covering sieve is
-        the maximal one."""
-        if t.kind == "coarse":
+        """The covering sieves of t, canonical order.  The only covering
+        sieve of coarse, and of graded:n (its probe, the paths of length
+        <= n, holds the identity), is the maximal one, so neither lists the
+        sieves.  Coarse needs no limit; graded keeps the one its listing had."""
+        if t.kind == "graded" and len(self.morphisms) > limit:
+            raise TooManyMorphismsError(self.vertex, len(self.morphisms), limit)
+        if t.kind in ("coarse", "graded"):
             return [self.maximal_mask]
         need_all, probes = self.probes(t)
         root = probes[0]

@@ -161,12 +161,15 @@ def assert_functors_exits_3(files, capsys, message):
 def test_non_natural_solver_output_exits_3(files, monkeypatch, capsys):
     # a kernel vector moved off the solution space is the solver's fault,
     # not a usage error (2) and not a failed adjunction (1)
-    original = quivsheaf.presheaf.kernel_basis
+    # kernel vectors are int numerators over one denominator d, so adding d
+    # to the first numerator shifts the first entry by one
+    original = quivsheaf.presheaf.kernel_vectors
 
-    def shifted(m):
-        return [(v[0] + 1,) + tuple(v[1:]) for v in original(m)]
+    def shifted(m, ncols):
+        vectors, d = original(m, ncols)
+        return [[v[0] + d] + v[1:] for v in vectors], d
 
-    monkeypatch.setattr(quivsheaf.presheaf, "kernel_basis", shifted)
+    monkeypatch.setattr(quivsheaf.presheaf, "kernel_vectors", shifted)
     assert_functors_exits_3(files, capsys, "solver produced a non-natural transformation")
 
 

@@ -8,14 +8,16 @@ p/q entries, including empty, 1x1 zero and rank-deficient shapes.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
+from quivsheaf import io as qio
 from quivsheaf import backend_name
-from quivsheaf.linalg import Matrix, _kernels_py as kernel, inverse, kernel_basis, rank, solve
+from quivsheaf.linalg import Matrix, inverse, kernel_basis, rank, rref, solve
 
 ENTRY_KINDS = {
     "binary": lambda rng: Fraction(rng.randint(0, 1)),
@@ -70,11 +72,12 @@ def assert_fractions(values):
 
 def check_against_oracle(rows, ncols):
     snapshot = [list(row) for row in rows]
-    reduced, pivots = kernel.rref_pivots(rows, ncols)
-    assert (reduced, pivots) == oracle.rref_pivots(rows, ncols)
-    assert_fractions(x for row in reduced for x in row)
-
     m = Matrix.from_rows(rows, ncols)
+    reduced, pivots = rref(m)
+    expected, expected_pivots = oracle.rref_pivots(rows, ncols)
+    assert (reduced.to_rows(), list(pivots)) == (expected, expected_pivots)
+    assert_fractions(reduced.entries)
+
     assert rank(m) == oracle.rank(rows, ncols)
     basis = kernel_basis(m)
     assert basis == oracle.kernel_basis(rows, ncols)
@@ -99,12 +102,9 @@ def check_against_oracle(rows, ncols):
 def check_product(a, b, bcols):
     snapshot = ([list(row) for row in a], [list(row) for row in b])
     expected = oracle.matmul(a, b, bcols)
-    product = kernel.matmul(a, b, bcols)
-    assert product == expected
-    assert_fractions(x for row in product for x in row)
-    via_matrix = Matrix.from_rows(a, len(b)) @ Matrix.from_rows(b, bcols)
-    assert via_matrix.to_rows() == expected
-    assert_fractions(via_matrix.entries)
+    product = Matrix.from_rows(a, len(b)) @ Matrix.from_rows(b, bcols)
+    assert product.to_rows() == expected
+    assert_fractions(product.entries)
     assert (a, b) == snapshot
 
 
@@ -169,3 +169,92 @@ def test_square_decisions_match_oracle_on_drawn_matrices(grid):
 def test_products_match_oracle_on_drawn_matrices(pair):
     (a, _), (b, bcols) = pair
     check_product(a, b, bcols)
+
+
+# One shared denominator over entries with unrelated denominators: the
+# numerators grow with the product of the primes, and every route that
+# builds a matrix must land on the same normal form.
+PRIMES = [2, 3, 5, 7, 11, 13, 101, 997, 65537, 2**31 - 1]
+mixed_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+)
+
+
+@st.composite
+def mixed_grids(draw, nrows=None, ncols=None):
+    nrows = draw(st.integers(0, 5)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 5)) if ncols is None else ncols
+    if draw(st.booleans()) and draw(st.booleans()):
+        return [[Fraction(0)] * ncols for _ in range(nrows)], ncols
+    rows = draw(st.lists(st.lists(mixed_entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    return rows, ncols
+
+
+def assert_normal(m, rows):
+    """m is in normal form and holds exactly the entries of rows."""
+    assert m.den > 0 and gcd(m.den, *m.num) == 1
+    if not any(m.num):
+        assert m.den == 1
+    assert m.entries == tuple(x for row in rows for x in row)
+    assert_fractions(m.entries)
+
+
+def routes(draw, rows, ncols):
+    """The matrix of rows, built every way the package builds one."""
+    flat = [x for row in rows for x in row]
+    nrows = len(rows)
+    built = [Matrix(nrows, ncols, tuple(flat)), Matrix.from_rows(rows, ncols)]
+    # unreduced literals, each scaled by its own factor
+    factors = draw(st.lists(st.integers(1, 6), min_size=len(flat), max_size=len(flat)))
+    literals = iter(f"{x.numerator * k}/{x.denominator * k}" for x, k in zip(flat, factors))
+    literals = [[next(literals) for _ in range(ncols)] for _ in range(nrows)]
+    built.append(qio.matrix_from_json(literals, nrows, ncols))
+    built.append(Matrix.identity(nrows) @ built[0] @ Matrix.identity(ncols))
+    cut = draw(st.integers(0, nrows))
+    built.append(Matrix.stack_rows([Matrix.from_rows(rows[:cut], ncols), Matrix.from_rows(rows[cut:], ncols)], ncols))
+    built.append(built[0].transpose().transpose())
+    if nrows == ncols and oracle.inverse(rows) is not None:
+        built.append(inverse(inverse(built[0])))
+    return built
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_grids(), st.data())
+def test_one_denominator_over_unrelated_denominators(grid, data):
+    rows, ncols = grid
+    built = routes(data.draw, rows, ncols)
+    for m in built:
+        assert_normal(m, rows)
+        assert m == built[0] and hash(m) == hash(built[0])
+    m = built[0]
+    assert rank(m) == oracle.rank(rows, ncols)
+    assert kernel_basis(m) == oracle.kernel_basis(rows, ncols)
+    b = data.draw(st.lists(mixed_entries, min_size=len(rows), max_size=len(rows)))
+    for rhs in (b, right_hand_sides(rows, ncols)[0]):
+        assert solve(m, rhs) == oracle.solve(rows, ncols, rhs)
+    transposed = [list(col) for col in zip(*rows)] if rows else []
+    assert_normal(m.transpose(), transposed)
+
+    other_rows, _ = data.draw(mixed_grids(len(rows), ncols))
+    other = Matrix.from_rows(other_rows, ncols)
+    assert (other == m) == (other_rows == rows)
+    if other_rows == rows:
+        assert hash(other) == hash(m)
+    stacked = Matrix.stack_rows([m, other], ncols)
+    assert_normal(stacked, rows + other_rows)
+    if len(rows) == ncols:
+        expected = oracle.inverse(rows)
+        if expected is not None:
+            assert_normal(inverse(m), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(mixed_grids(s[0], s[1]), mixed_grids(s[1], s[2]))
+))
+def test_products_over_unrelated_denominators(pair):
+    (a, k), (b, bcols) = pair
+    product = Matrix.from_rows(a, k) @ Matrix.from_rows(b, bcols)
+    assert_normal(product, oracle.matmul(a, b, bcols))

@@ -26,7 +26,7 @@ from quivsheaf import (
     identity_morphism,
 )
 from quivsheaf.sheaf import EPSILON_NOT_INJECTIVE, FAMILY_NOT_GLUED
-from quivsheaf.sieves import NotASieveError
+from quivsheaf.sieves import NotASieveError, TooManyMorphismsError, _vertex_table
 
 from helpers import (
     abc_quiver,
@@ -129,6 +129,22 @@ def test_dualized_representations_are_coarse_sheaves():
     for _ in range(40):
         V = random_representation(rng)
         assert is_sheaf(dualize(V), TopologySpec.coarse()).holds
+
+
+def test_graded_decides_without_listing_sieves():
+    # graded:n has exactly coarse's covering sieve, the maximal one, so
+    # is_sheaf needs no list of sieves and gives coarse's verdicts
+    rng = random.Random(29)
+    for _ in range(10):
+        F = dualize(random_representation(rng))
+        q = F.quiver
+        assert is_sheaf(F, TopologySpec.length_graded(2)) == is_sheaf(F, TopologySpec.coarse())
+        assert all(_vertex_table(q, v)._sieve_masks is None for v in q.vertices)
+    # the limit that listing the sieves had still applies
+    F = constant_presheaf(chain_quiver(4), 1)
+    with pytest.raises(TooManyMorphismsError):
+        is_sheaf(F, TopologySpec.length_graded(2), limit=2)
+    assert is_sheaf(F, TopologySpec.coarse(), limit=2).holds
 
 
 def test_image_contained_in_compatibility_space():
