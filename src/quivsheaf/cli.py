@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional
 
 from . import io as qio
 from .functors import (
@@ -25,7 +24,7 @@ from .functors import (
 )
 from .presheaf import PresheafError, dualize
 from .quiver import QuiverError, validate
-from .sheaf import is_discrete_sheaf_criterion, is_sheaf
+from .sheaf import is_sheaf
 from .sieves import (
     DEFAULT_SIEVE_LIMIT,
     SieveError,
@@ -174,9 +173,11 @@ def cmd_functors(args) -> int:
             {"vertex": v, "dim": rep.dim, "comparison_is_iso": rep.comparison_is_iso}
         )
 
-    monodromy: Optional[dict] = None
-    if is_discrete_sheaf_criterion(F):
+    try:
         trans = monodromy_report(F)
+    except NotDiscreteSheafError:
+        monodromy = None
+    else:
         monodromy = {
             "all_identity": trans.all_identity,
             "components": [

@@ -1,6 +1,6 @@
 """Comparison machinery between locally constant sheaves and coarse
-sheaves: the two candidate left adjoints (the pointwise extension, read
-from the generator of the maximal sieve, and the component-wide colimit),
+sheaves: the two candidate left adjoints (the pointwise extension, F(v)
+itself by the maximal sieve's one generator, and the component-wide colimit),
 the adjunction dimension check, and transport/monodromy.
 The inclusion of locally constant sheaves into coarse sheaves is the
 identity on data, fully faithful by definition, and has no helper.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import List, Optional
+from typing import Optional
 
 from .linalg import (
     DiagramOfSpaces,
@@ -26,9 +26,8 @@ from .linalg import (
     rank,
 )
 from .presheaf import NatTrans, Presheaf, nat_trans_space, naturality_failures
-from .quiver import connected_components
-from .sheaf import _generator_maps, is_discrete_sheaf_criterion
-from .sieves import _vertex_table
+from .quiver import UnknownVertexError
+from .sheaf import is_discrete_sheaf_criterion
 
 
 class FunctorError(Exception):
@@ -58,16 +57,14 @@ def left_adjoint_literal(F: Presheaf, v: str) -> PointwiseExtensionReport:
 
     The limit over the slice of morphisms into v is the space of matching
     families for the maximal sieve on v (Mac Lane & Moerdijk, III.4).  A
-    compatible family is fixed by its values at the sieve's generators,
-    and the maximal sieve has one, the identity, so the extension has
-    dimension sigma = dim F(v) and the comparison from F(v) is the stacked
-    generator map, the identity.  It is an isomorphism for every presheaf,
-    so the construction collapses back to F(v) and cannot produce a
-    locally constant sheaf.
+    compatible family is fixed by its value at the sieve's one generator,
+    the identity, so the comparison from F(v) is the identity: an
+    isomorphism for every presheaf.  The construction collapses back to
+    F(v) and cannot produce a locally constant sheaf.
     """
-    _, stacked = _generator_maps(F, v, _vertex_table(F.quiver, v).maximal_mask)
-    comparison = LinearMap(stacked)
-    return PointwiseExtensionReport(v, stacked.rows, comparison, is_isomorphism(comparison))
+    if v not in F.quiver._into:
+        raise UnknownVertexError(v)
+    return PointwiseExtensionReport(v, F.dim(v), LinearMap.identity(F.dim(v)), True)
 
 
 @dataclass(frozen=True)
@@ -87,17 +84,12 @@ def left_adjoint_component(F: Presheaf) -> ComponentExtension:
     q = F.quiver
     dims = {}
     units = {}
-    for comp in connected_components(q):
-        comp_set = set(comp)
-        nodes = [F.dim(v) for v in comp]
-        pos = {v: i for i, v in enumerate(comp)}
-        arrows = []
-        for e in q.edges:
-            if e.src in comp_set:
-                # F(e): F(dst) -> F(src)
-                arrows.append((pos[e.dst], pos[e.src], F.edge_map(e.id)))
-        dim, cocone = colimit(DiagramOfSpaces.build(nodes, arrows))
-        for v in comp:
+    for vertices, edges, _, _ in q._forest:
+        pos = {v: i for i, v in enumerate(vertices)}
+        # F(e): F(dst) -> F(src)
+        arrows = [(pos[e.dst], pos[e.src], F.edge_map(e.id)) for e in edges]
+        dim, cocone = colimit(DiagramOfSpaces.build([F.dim(v) for v in vertices], arrows))
+        for v in vertices:
             dims[v] = dim
             units[v] = cocone[pos[v]]
     out = Presheaf(
@@ -223,40 +215,17 @@ def monodromy_report(F: Presheaf) -> TransportReport:
     """
     if not is_discrete_sheaf_criterion(F):
         raise NotDiscreteSheafError("monodromy needs invertible edge maps")
-    q = F.quiver
     components = []
-    for comp in connected_components(q):
-        root = comp[0]
-        comp_set = set(comp)
-        # walk_to_root[v]: steps leading from v to the root
-        walk_to_root = {root: ()}
-        tree_edges: List[str] = []
-        frontier = [root]
-        visited = {root}
-        while frontier:
-            next_frontier = []
-            for v in frontier:
-                for e in q.edges:
-                    if e.src == v and e.dst not in visited:
-                        other, step = e.dst, (e.id, -1)
-                    elif e.dst == v and e.src not in visited:
-                        other, step = e.src, (e.id, +1)
-                    else:
-                        continue
-                    visited.add(other)
-                    tree_edges.append(e.id)
-                    walk_to_root[other] = (step,) + walk_to_root[v]
-                    next_frontier.append(other)
-            frontier = next_frontier
+    for vertices, edges, tree_edges, parent in F.quiver._forest:
         tree_set = set(tree_edges)
         cycles = []
-        for e in q.edges:
-            if e.src not in comp_set or e.id in tree_set:
+        for e in edges:
+            if e.id in tree_set:
                 continue
             walk_down = tuple(
-                (edge_id, -direction) for edge_id, direction in reversed(walk_to_root[e.src])
+                (edge_id, -direction) for edge_id, direction in reversed(_walk_to_root(parent, e.src))
             )
-            cycle_walk = ((e.id, +1),) + walk_to_root[e.dst] + walk_down
+            cycle_walk = ((e.id, +1),) + _walk_to_root(parent, e.dst) + walk_down
             m = transport(F, cycle_walk, start=e.src)
             cycles.append(
                 CycleMonodromy(
@@ -267,5 +236,14 @@ def monodromy_report(F: Presheaf) -> TransportReport:
                     m.matrix == Matrix.identity(F.dim(e.src)),
                 )
             )
-        components.append(ComponentTransport(root, tuple(tree_edges), tuple(cycles)))
+        components.append(ComponentTransport(vertices[0], tree_edges, tuple(cycles)))
     return TransportReport(tuple(components))
+
+
+def _walk_to_root(parent: dict, v: str) -> tuple:
+    """The tree steps from v to its component's root."""
+    walk = []
+    while v in parent:
+        edge_id, direction, v = parent[v]
+        walk.append((edge_id, direction))
+    return tuple(walk)

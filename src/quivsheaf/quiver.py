@@ -10,10 +10,13 @@ Morphisms are always enumerated in a canonical order (length first, then
 lexicographic edge ids) so downstream sieve enumeration and product
 indexing are reproducible bit for bit.
 
-The morphisms into a vertex v form a tree rooted at the identity: dropping
-the first edge of a path gives its parent, and the subtree under f is all
-f o g.  Paths are listed by walking that tree from v, without recursion,
-and the quiver holds them, so they are dropped with it.
+A quiver holds what is read from its edge list, built on first use, so it
+is dropped with it: the validation report and, on a valid quiver only, an
+edge-id index, the edges into each vertex, a breadth-first spanning forest
+(grown from each component's least vertex, earlier edges first) and the
+path tree into each vertex.  The morphisms into v form a tree rooted at the
+identity: dropping the first edge of a path gives its parent, and the
+subtree under f is all f o g; it is listed from v without recursion.
 """
 
 from __future__ import annotations
@@ -79,16 +82,16 @@ class Quiver:
         return cls(tuple(vertices), edge_objs)
 
     def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise UnknownEdgeError(edge_id)
+        try:
+            return self._edge_index[edge_id]
+        except KeyError:
+            raise UnknownEdgeError(edge_id) from None
 
     def has_vertex(self, v: str) -> bool:
         return v in self.vertices
 
     def edges_into(self, v: str) -> tuple:
-        return tuple(e for e in self.edges if e.dst == v)
+        return tuple(self._into.get(v, ()))
 
     def vertex_index(self, v: str) -> int:
         try:
@@ -97,16 +100,58 @@ class Quiver:
             raise UnknownVertexError(v) from None
 
     def require_valid(self) -> "Quiver":
-        report = validate(self)
-        if not report.valid:
-            raise InvalidQuiverError("; ".join(str(p) for p in report.problems))
+        if not self._report.valid:
+            raise InvalidQuiverError("; ".join(str(p) for p in self._report.problems))
         return self
 
-    # Per-vertex tables (paths here, sieve tables in sieves.py), built on
-    # demand and held by the quiver so that they are dropped with it.
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return validate(self)
+
+    @cached_property
+    def _edge_index(self) -> dict:
+        return {e.id: e for e in self.require_valid().edges}
+
+    @cached_property
+    def _into(self) -> dict:
+        into = {v: [] for v in self.require_valid().vertices}
+        for e in self.edges:
+            into[e.dst].append(e)
+        return into
+
+    @cached_property
+    def _forest(self) -> list:
+        """Per component, by least vertex: its vertices in quiver order (the
+        root first), its edges in file order, its tree edge ids in discovery
+        order and parent[w] = (edge id, +1 along the edge or -1, v), the tree
+        step from w one nearer the root."""
+        incident = {v: [] for v in self.require_valid().vertices}
+        for e in self.edges:
+            incident[e.src].append((e.id, -1, e.dst))
+            incident[e.dst].append((e.id, +1, e.src))
+        comp_of, forest = {}, []
+        for root in self.vertices:
+            if root in comp_of:
+                continue
+            comp_of[root] = len(forest)
+            order, tree, parent = [root], [], {}
+            for v in order:  # order grows as it is read: a queue
+                for edge_id, direction, w in incident[v]:
+                    if w not in comp_of:
+                        comp_of[w] = comp_of[root]
+                        parent[w] = (edge_id, direction, v)
+                        tree.append(edge_id)
+                        order.append(w)
+            forest.append(([], [], tuple(tree), parent))
+        for v in self.vertices:
+            forest[comp_of[v]][0].append(v)
+        for e in self.edges:
+            forest[comp_of[e.src]][1].append(e)
+        return forest
+
+    # Per-vertex tables (paths here, sieve tables in sieves.py).
     @cached_property
     def _paths(self) -> dict:
-        self.require_valid()  # a cycle would make the path tree infinite
         return {}
 
     @cached_property
@@ -223,15 +268,13 @@ def compose(p: PathMorphism, q: PathMorphism) -> PathMorphism:
 def _paths_into(q: Quiver, v: str) -> tuple:
     """The path tree into v, listed level by level, in canonical order."""
     if v not in q._paths:
-        if not q.has_vertex(v):
+        into = q._into
+        if v not in into:
             raise UnknownVertexError(v)
-        into = {}
-        for e in q.edges:
-            into.setdefault(e.dst, []).append(e)
         paths, level = [], [identity_morphism(v)]
         while level:
             paths += level
-            level = [PathMorphism(e.src, v, (e.id,) + p.edges) for p in level for e in into.get(p.source, ())]
+            level = [PathMorphism(e.src, v, (e.id,) + p.edges) for p in level for e in into[p.source]]
         q._paths[v] = tuple(sorted(paths, key=PathMorphism.key))
     return q._paths[v]
 
@@ -257,12 +300,10 @@ def hom(q: Quiver, u: str, v: str) -> list:
 def path_counts(q: Quiver) -> dict:
     """Paths into each vertex of an acyclic quiver, identity included, counted
     without listing any: 1 + the counts at the edges' sources, in O(V + E)."""
-    into = {v: [] for v in q.vertices}
-    for e in q.edges:
-        into[e.dst].append(e.src)
+    into = q._into
     count = {}
-    for v in TopologicalSorter(into).static_order():
-        count[v] = 1 + sum(count[u] for u in into[v])
+    for v in TopologicalSorter({v: [e.src for e in es] for v, es in into.items()}).static_order():
+        count[v] = 1 + sum(count[e.src] for e in into[v])
     return count
 
 
@@ -272,23 +313,7 @@ def connected_components(q: Quiver) -> list:
     Components are listed by their least vertex (in quiver order), each as a
     tuple of vertices in quiver order.
     """
-    parent = {v: v for v in q.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in q.edges:
-        ra, rb = find(e.src), find(e.dst)
-        if ra != rb:
-            parent[rb] = ra
-    groups = {}
-    for v in q.vertices:
-        groups.setdefault(find(v), []).append(v)
-    comps = sorted(groups.values(), key=lambda vs: q.vertex_index(vs[0]))
-    return [tuple(vs) for vs in comps]
+    return [tuple(vertices) for vertices, *_ in q._forest]
 
 
 @dataclass(frozen=True)

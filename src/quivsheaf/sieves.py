@@ -379,8 +379,7 @@ def audit_axioms(
     GT3 (transitivity); a failing axiom carries the first counterexample in
     canonical (vertex, sieve) order.  Every vertex's morphism count is
     checked against the limit before any path is listed."""
-    q.require_valid()
-    counts = path_counts(q)
+    counts = path_counts(q)  # refuses an invalid quiver
     for v in q.vertices:
         if counts[v] > limit:
             raise TooManyMorphismsError(v, counts[v], limit)

@@ -82,6 +82,33 @@ def test_audit_over_the_sieve_limit_exits_2_before_listing(tmp_path, capsys):
     assert "15 morphisms into 'v15'" in capsys.readouterr().err
 
 
+def test_each_command_validates_its_quiver_once(files, monkeypatch, capsys):
+    # the report is cached on the quiver: the CLI, audit_axioms and the path
+    # tables all read it; wrap validate wherever the package binds it
+    original = quivsheaf.quiver.validate
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("quivsheaf")]:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    q, const = files["quiver.json"], files["const.json"]
+    for argv in (
+        ["validate", "--quiver", q],
+        ["audit", "--quiver", q, "--topology", "discrete"],
+        ["check-sheaf", "--quiver", q, "--presheaf", const, "--topology", "discrete"],
+        ["functors", "--quiver", q, "--presheaf", const, "--presheaf", const],
+    ):
+        calls.clear()
+        assert main(argv) in (0, 1)
+        assert len(calls) == 1, argv[0]
+    capsys.readouterr()
+
+
 def test_check_sheaf(files, capsys):
     rc = main(
         [

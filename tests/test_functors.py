@@ -22,6 +22,7 @@ from quivsheaf import (
 )
 from quivsheaf.functors import FunctorError, NotDiscreteSheafError
 from quivsheaf.presheaf import is_natural_presheaf
+from quivsheaf.quiver import UnknownVertexError
 
 import functor_oracle
 from helpers import (
@@ -69,6 +70,17 @@ def test_literal_adjoint_matches_slice_limit_on_random_presheaves():
         for v in F.quiver.vertices:
             rep, reference = left_adjoint_literal(F, v), functor_oracle.left_adjoint_literal(F, v)
             assert (rep.dim, rep.comparison_is_iso) == (reference.dim, reference.comparison_is_iso)
+
+
+def test_literal_adjoint_builds_no_path_tree():
+    # the maximal sieve's one generator is the identity, so F(v) is read as is
+    F = constant_presheaf(chain_quiver(4), 2)
+    for v in F.quiver.vertices:
+        assert left_adjoint_literal(F, v).comparison == LinearMap.identity(2)
+    assert vars(F.quiver).get("_sieve_tables", {}) == {}
+    assert vars(F.quiver).get("_paths", {}) == {}
+    with pytest.raises(UnknownVertexError):
+        left_adjoint_literal(F, "nowhere")
 
 
 def test_component_adjoint_on_chain_is_limit_free_colimit():

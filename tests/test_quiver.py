@@ -2,6 +2,7 @@
 composition laws, and the slice index."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,11 +11,13 @@ from quivsheaf import (
     Quiver,
     compose,
     connected_components,
+    constant_presheaf,
     edge_morphism,
     hom,
     identity_morphism,
     morphism_table,
     morphisms_into,
+    monodromy_report,
     slice_objects,
     validate,
 )
@@ -28,6 +31,7 @@ from quivsheaf.quiver import (
     path_counts,
 )
 
+import quiver_oracle
 from helpers import abc_quiver, chain_quiver, dag_family, parallel_quiver
 
 
@@ -138,6 +142,45 @@ def test_connected_components():
     q = Quiver.build(["a", "b", "c", "d"], [("e", "a", "b"), ("f", "c", "d")])
     assert connected_components(q) == [("a", "b"), ("c", "d")]
     assert connected_components(abc_quiver()) == [("a", "b", "c")]
+
+
+def shuffled_random_quivers(rng, count):
+    """Acyclic quivers whose vertex and edge lists are shuffled, so file order
+    is neither a topological order nor sorted by id: up to 9 vertices, parallel
+    edges, isolated vertices and several components."""
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        ranked = [f"v{k}" for k in rng.sample(range(100), n)]  # edges go up the ranking
+        pairs = [(a, b) for i, a in enumerate(ranked) for b in ranked[i + 1 :]]
+        m = rng.randint(0, 12) if pairs else 0
+        edges = [(f"e{k}",) + rng.choice(pairs) for k in rng.sample(range(100), m)]
+        vertices = rng.sample(ranked, n)
+        yield Quiver.build(vertices, edges).require_valid()
+
+
+def test_structure_matches_the_edge_list_oracle():
+    rng = random.Random(23)
+    for q in dag_family(4, 4) + list(shuffled_random_quivers(rng, 300)):
+        assert connected_components(q) == quiver_oracle.connected_components(q)
+        assert path_counts(q) == quiver_oracle.path_counts(q)
+        for v in q.vertices:
+            assert q.edges_into(v) == quiver_oracle.edges_into(q, v)
+        for e in q.edges:
+            assert q.edge(e.id) is quiver_oracle.edge(q, e.id)
+        report = monodromy_report(constant_presheaf(q, 1))
+        got = [
+            (comp.root, comp.tree_edges, [(c.edge_id, c.base_vertex, c.walk) for c in comp.cycles])
+            for comp in report.components
+        ]
+        assert got == quiver_oracle.spanning_trees(q)
+
+
+def test_edge_lookups_refuse_an_invalid_quiver():
+    q = Quiver.build(["a", "b"], [("e", "a", "b"), ("f", "b", "a")])
+    with pytest.raises(InvalidQuiverError):
+        q.edge("e")
+    with pytest.raises(InvalidQuiverError):
+        q.edges_into("a")
 
 
 def test_slice_index_has_terminal_identity():
