@@ -1,18 +1,30 @@
 """Batch command-line front door.
 
-One binary with subcommands; every subcommand loads its inputs, runs the
-corresponding library call and prints either a text summary or a canonical
-JSON report.  Exit statuses are the machine-readable truth: 0 means the
-checked property holds, 1 means it fails (with a witness in the report),
-2 means the invocation or an input file was unusable, and 3 means an
-internal error: an exception the program does not expect, reported on
-stderr as one line, never as a failed property.
+One binary with subcommands; every subcommand loads its inputs and runs
+the corresponding library call.  All but `dualize` end in one report
+dictionary, printed as canonical JSON (`--format json`) or, by default,
+as text: the same dictionary rendered as indented `key: value` lines,
+with keys in the JSON's sorted order and each scalar or list of scalars
+written as JSON.  Both formats are byte-identical across runs and hash seeds.
+`dualize` writes a presheaf file, always as JSON.  No command takes
+`--seed`, `validate` and `functors` take no `--sieve-limit`, and
+`dualize` takes no `--format`: nothing read them, so each is a usage
+error.
+
+Exit statuses are the machine-readable truth: 0 means the checked
+property holds, 1 means it fails (with a witness in the report), 2 means
+the invocation or an input or output file was unusable (this includes
+an input that is not UTF-8 or is nested too deeply to decode, and an
+`--output` path that cannot be written), and 3 means an internal error:
+an exception the program does not expect, reported on stderr as one
+line, never as a failed property.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from . import io as qio
@@ -64,9 +76,8 @@ def _parser() -> argparse.ArgumentParser:
                 default="coarse",
                 help="coarse | discrete | discrete+empty | edge | graded:N",
             )
+            p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-        p.add_argument("--seed", type=int, default=0, help="accepted for reproducible scripting; deterministic commands ignore it")
 
     p = sub.add_parser("validate", help="check quiver well-formedness and acyclicity")
     common(p)
@@ -81,8 +92,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--quiver", required=True)
     p.add_argument("--representation", required=True, help="representation JSON file")
     p.add_argument("--output", default="-", help="output path, - for stdout")
-    p.add_argument("--format", choices=("text", "json"), default="json")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(
         "functors",
@@ -92,20 +101,37 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, fmt: str, text_lines) -> None:
+def _text_lines(report: dict, indent: str = "") -> list:
+    """The report as `key: value` lines in sorted key order: a scalar or a
+    list of scalars is written as JSON, a nested dict is indented two
+    spaces, and each dict in a list starts with `- `."""
+    lines = []
+    for key in sorted(report):
+        value = report[key]
+        if isinstance(value, dict) and value:
+            lines.append(f"{indent}{key}:")
+            lines += _text_lines(value, indent + "  ")
+        elif isinstance(value, list) and value and all(isinstance(x, dict) and x for x in value):
+            lines.append(f"{indent}{key}:")
+            for item in value:
+                first, *rest = _text_lines(item, indent + "    ")
+                lines += [f"{indent}  - {first[len(indent) + 4:]}", *rest]
+        else:
+            lines.append(f"{indent}{key}: {json.dumps(value)}")
+    return lines
+
+
+def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(qio.dumps_canonical(report))
     else:
-        for line in text_lines:
-            print(line)
+        sys.stdout.write("".join(line + "\n" for line in _text_lines(report)))
 
 
 def cmd_validate(args) -> int:
     q = qio.load_quiver(args.quiver)
     report = validate(q)
-    lines = [f"valid: {report.valid}"]
-    lines += [f"  problem: {p}" for p in report.problems]
-    _emit(qio.validation_report_to_json(report), args.format, lines)
+    _emit(qio.validation_report_to_json(report), args.format)
     return EXIT_HOLDS if report.valid else EXIT_FAILS
 
 
@@ -113,12 +139,7 @@ def cmd_audit(args) -> int:
     q = qio.load_quiver(args.quiver).require_valid()
     topology = TopologySpec.parse(args.topology)
     report = audit_axioms(topology, q, args.sieve_limit)
-    lines = [f"topology: {topology.describe()}", f"passed: {report.passed}"]
-    for name, result in (("GT1", report.gt1), ("GT2", report.gt2), ("GT3", report.gt3)):
-        lines.append(f"  {name}: {'pass' if result.passed else 'FAIL'}")
-        if not result.passed:
-            lines.append(f"    counterexample: {result.counterexample}")
-    _emit(qio.axiom_report_to_json(report), args.format, lines)
+    _emit(qio.axiom_report_to_json(report), args.format)
     return EXIT_HOLDS if report.passed else EXIT_FAILS
 
 
@@ -128,21 +149,13 @@ def cmd_check_sheaf(args) -> int:
     q = qio.load_quiver(args.quiver).require_valid()
     topology = TopologySpec.parse(args.topology)
     verdicts = []
-    lines = []
     for path in args.presheaf:
         F = qio.load_presheaf(path, q)
         verdict = is_sheaf(F, topology, args.sieve_limit)
         verdicts.append({"presheaf": path, "verdict": qio.verdict_to_json(verdict)})
-        if verdict.holds:
-            lines.append(f"{path}: sheaf for {topology.describe()}")
-        else:
-            lines.append(
-                f"{path}: NOT a sheaf; sieve {{{', '.join(verdict.failing_sieve.labels())}}} "
-                f"on {verdict.vertex} ({verdict.diagnosis})"
-            )
     all_hold = all(v["verdict"]["holds"] for v in verdicts)
     report = {"topology": topology.describe(), "results": verdicts, "holds": all_hold}
-    _emit(report, args.format, lines)
+    _emit(report, args.format)
     return EXIT_HOLDS if all_hold else EXIT_FAILS
 
 
@@ -153,8 +166,11 @@ def cmd_dualize(args) -> int:
     if args.output == "-":
         sys.stdout.write(out)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise qio.IoError(f"cannot write {args.output}: {exc}") from exc
     return EXIT_HOLDS
 
 
@@ -208,25 +224,7 @@ def cmd_functors(args) -> int:
         "pointwise_extension": literal,
         "monodromy": monodromy,
     }
-    lines = [
-        f"adjunction: left_dim={adj.left_dim} right_dim={adj.right_dim} match={adj.match}",
-        "pointwise extension comparison per vertex:",
-    ]
-    for item in literal:
-        lines.append(
-            f"  {item['vertex']}: dim={item['dim']} iso={item['comparison_is_iso']}"
-        )
-    if monodromy is None:
-        lines.append("monodromy: skipped (some restriction map is not invertible)")
-    else:
-        lines.append(f"monodromy all identity: {monodromy['all_identity']}")
-        for comp in monodromy["components"]:
-            for c in comp["cycles"]:
-                lines.append(
-                    f"  cycle at {c['base_vertex']} via {c['edge']}: "
-                    f"{'identity' if c['is_identity'] else c['matrix']}"
-                )
-    _emit(report, args.format, lines)
+    _emit(report, args.format)
     return EXIT_HOLDS if adj.match else EXIT_FAILS
 
 

@@ -37,7 +37,7 @@ class KindMismatchError(ParseError):
         super().__init__(f"expected kind {wanted!r}, file says {got!r}")
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def rational_to_str(x) -> str:
@@ -49,7 +49,7 @@ def rational_to_str(x) -> str:
 
 def _rational_parts(s) -> tuple:
     """(numerator, denominator > 0) of a rational literal, not reduced."""
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise ParseError(f"bad rational literal {s!r}")
     a, _, b = s.partition("/")
     return int(a), int(b or 1)
@@ -160,7 +160,9 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; the C
+        # decoder raises RecursionError on nesting deeper than the stack
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

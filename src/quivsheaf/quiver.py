@@ -87,17 +87,8 @@ class Quiver:
         except KeyError:
             raise UnknownEdgeError(edge_id) from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
-
     def edges_into(self, v: str) -> tuple:
         return tuple(self._into.get(v, ()))
-
-    def vertex_index(self, v: str) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise UnknownVertexError(v) from None
 
     def require_valid(self) -> "Quiver":
         if not self._report.valid:

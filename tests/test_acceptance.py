@@ -286,10 +286,10 @@ def test_criterion_12_cli_json_determinism(tmp_path, capsys):
         return capsys.readouterr().out
 
     commands = [
-        ["validate", "--quiver", str(quiver_path), "--format", "json", "--seed", "7"],
-        ["audit", "--quiver", str(quiver_path), "--topology", "discrete+empty", "--format", "json", "--seed", "7"],
-        ["check-sheaf", "--quiver", str(quiver_path), "--presheaf", str(presheaf_path), "--topology", "discrete", "--format", "json", "--seed", "7"],
-        ["functors", "--quiver", str(quiver_path), "--presheaf", str(presheaf_path), "--presheaf", str(presheaf_path), "--format", "json", "--seed", "7"],
+        ["validate", "--quiver", str(quiver_path), "--format", "json"],
+        ["audit", "--quiver", str(quiver_path), "--topology", "discrete+empty", "--format", "json"],
+        ["check-sheaf", "--quiver", str(quiver_path), "--presheaf", str(presheaf_path), "--topology", "discrete", "--format", "json"],
+        ["functors", "--quiver", str(quiver_path), "--presheaf", str(presheaf_path), "--presheaf", str(presheaf_path), "--format", "json"],
     ]
     for args in commands:
         first, second = run(args), run(args)

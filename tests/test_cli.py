@@ -12,7 +12,7 @@ import quivsheaf
 from quivsheaf.cli import main
 
 from helpers import abc_quiver, chain_quiver, make_edge_maps_drift, parallel_quiver
-from quivsheaf import LinearMap, NatTrans, Presheaf, Representation, constant_presheaf
+from quivsheaf import LinearMap, NatTrans, Presheaf, Quiver, Representation, constant_presheaf
 from quivsheaf.functors import ComponentExtension
 from quivsheaf.io import (
     dumps_canonical,
@@ -286,9 +286,9 @@ def test_json_reports_are_byte_identical(files, capsys):
         return capsys.readouterr().out
 
     for args in (
-        ["audit", "--quiver", files["quiver.json"], "--topology", "discrete+empty", "--format", "json", "--seed", "1"],
-        ["check-sheaf", "--quiver", files["quiver.json"], "--presheaf", files["const.json"], "--format", "json", "--seed", "1"],
-        ["functors", "--quiver", files["quiver.json"], "--presheaf", files["const.json"], "--presheaf", files["const.json"], "--format", "json", "--seed", "1"],
+        ["audit", "--quiver", files["quiver.json"], "--topology", "discrete+empty", "--format", "json"],
+        ["check-sheaf", "--quiver", files["quiver.json"], "--presheaf", files["const.json"], "--format", "json"],
+        ["functors", "--quiver", files["quiver.json"], "--presheaf", files["const.json"], "--presheaf", files["const.json"], "--format", "json"],
     ):
         assert run(args) == run(args)
 
@@ -335,3 +335,97 @@ def test_commands_in_one_process_match_fresh_runs(files, tmp_path, capsys):
             [sys.executable, "-m", "quivsheaf.cli", *argv], capture_output=True, text=True, env=env
         )
         assert (fresh.returncode, fresh.stdout) == (rc, out)
+
+
+HASH_SEED_SCRIPT = """
+import contextlib, io, json, sys
+from quivsheaf.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    print(json.dumps([argv[0], rc, out.getvalue()]))
+"""
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(dumps_canonical(obj))
+        return str(path)
+
+    # a -> c <- b, c -> d: edge's GT3 counterexample covers d by a 3-member sieve
+    y = Quiver.build(["a", "b", "c", "d"], [("e1", "a", "c"), ("e2", "b", "c"), ("e3", "c", "d")])
+    yq, yf = write("y.json", quiver_to_json(y)), write("yf.json", presheaf_to_json(constant_presheaf(y, 1)))
+    yv = write("yv.json", representation_to_json(Representation(
+        y, {"a": 1, "b": 1, "c": 1, "d": 2},
+        {"e1": LinearMap.identity(1), "e2": LinearMap.from_rows([["2/3"]]), "e3": LinearMap.from_rows([[1], [-1]])},
+    )))
+    pq = parallel_quiver()
+    pp = write("p.json", quiver_to_json(pq))
+
+    def parallel(f):
+        return presheaf_to_json(Presheaf(pq, {"a": 1, "b": 1}, {"e": LinearMap.identity(1), "f": LinearMap.from_rows([[f]])}))
+
+    # f = 1/2 has monodromy 2 around the cycle; f = 0 has none
+    half, zero = write("half.json", parallel("1/2")), write("zero.json", parallel(0))
+    cycle = write("cycle.json", {"vertices": ["a", "b"], "edges": [
+        {"id": "e", "src": "a", "dst": "b"}, {"id": "f", "src": "b", "dst": "a"}]})
+    commands = [
+        (["validate", "--quiver", yq], 0),
+        (["validate", "--quiver", cycle], 1),
+        (["audit", "--quiver", yq, "--topology", "edge"], 1),
+        (["audit", "--quiver", yq, "--topology", "discrete"], 1),
+        (["check-sheaf", "--quiver", yq, "--presheaf", yf, "--topology", "discrete"], 1),
+        (["check-sheaf", "--quiver", yq, "--presheaf", yf, "--topology", "coarse"], 0),
+        (["functors", "--quiver", pp, "--presheaf", half, "--presheaf", half], 1),
+        (["functors", "--quiver", pp, "--presheaf", zero, "--presheaf", half], 0),
+    ]
+    argvs = [argv + ["--format", fmt] for argv, _ in commands for fmt in ("text", "json")]
+    argvs.append(["dualize", "--quiver", yq, "--representation", yv])
+    src = os.path.dirname(os.path.dirname(quivsheaf.__file__))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    codes = [rc for _, rc, _ in map(json.loads, outputs[0].splitlines())]
+    assert codes == [rc for _, rc in commands for _ in range(2)] + [0]
+
+
+def test_unusable_input_or_output_files_exit_2(files, tmp_path, capsys):
+    not_utf8, deep = tmp_path / "not_utf8.json", tmp_path / "deep.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    deep.write_text("[" * 100_000)
+    dualize = ["dualize", "--quiver", files["quiver.json"], "--representation", files["rep.json"]]
+    for argv in (
+        ["validate", "--quiver", str(not_utf8)],
+        ["validate", "--quiver", str(deep)],
+        ["check-sheaf", "--quiver", files["quiver.json"], "--presheaf", str(not_utf8)],
+        dualize + ["--output", str(tmp_path / "missing" / "out.json")],
+        dualize + ["--output", str(tmp_path)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, "--seed=1") for c in ("validate", "audit", "check-sheaf", "dualize", "functors")]
+    + [("validate", "--sieve-limit=14"), ("functors", "--sieve-limit=14"), ("dualize", "--format=json")],
+)
+def test_removed_options_are_usage_errors(files, capsys, command, option):
+    q, f = files["quiver.json"], files["const.json"]
+    required = {
+        "validate": [],
+        "audit": [],
+        "check-sheaf": ["--presheaf", f],
+        "dualize": ["--representation", files["rep.json"]],
+        "functors": ["--presheaf", f, "--presheaf", f],
+    }[command]
+    assert main([command, "--quiver", q, *required, option]) == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err

@@ -1,11 +1,12 @@
-"""Arbitrary small quiver and presheaf files on the command line: every
-run of check-sheaf and audit ends in exit 0, 1 or 2, never in an internal
-error (exit 3) or an exception out of main.
+"""Arbitrary small quiver, presheaf and representation files on the
+command line: every run of each of the five subcommands ends in exit 0, 1
+or 2, never in an internal error (exit 3) or an exception out of main.
 
 Inputs are drawn well formed (acyclic quiver, dims 0-2, maps of the right
-shape with small rational entries) and then, about half of the time, one
-part of them is replaced by a wrong value, so that both the decisions and
-the input checks are reached."""
+shape with small rational entries; the representation file holds the
+presheaf's maps transposed) and then, about half of the time, one part of
+them is replaced by a wrong value, so that both the decisions and the
+input checks are reached."""
 
 import contextlib
 import io
@@ -23,7 +24,7 @@ JUNK = st.one_of(
     st.booleans(),
     st.integers(-2, 3),
     st.floats(allow_nan=False, allow_infinity=False, width=16),
-    st.sampled_from(["", "x", "a", "1/0", "1.5", "+1", " 1", "0/1", "-0"]),
+    st.sampled_from(["", "x", "a", "1/0", "1.5", "+1", " 1", "0/1", "-0", "3\n", "\u0663"]),
     st.just([]),
     st.just({}),
     st.just([[]]),
@@ -34,7 +35,8 @@ TOPOLOGIES = ["coarse", "discrete", "discrete+empty", "edge", "graded:0", "grade
 @st.composite
 def well_formed(draw):
     """An acyclic quiver (edges go forward in vertex order, parallel edges
-    allowed) and a presheaf on it, as JSON values."""
+    allowed), a presheaf on it and the representation with the same maps
+    transposed, as JSON values."""
     n = draw(st.integers(1, 4))
     vertices = NAMES[:n]
     pairs = [(vertices[i], vertices[j]) for i in range(n) for j in range(i + 1, n)]
@@ -46,17 +48,23 @@ def well_formed(draw):
         e["id"]: [[draw(entry) for _ in range(dims[e["dst"]])] for _ in range(dims[e["src"]])]
         for e in edges
     }
+    transposed = {
+        e["id"]: [[row[j] for row in maps[e["id"]]] for j in range(dims[e["dst"]])] for e in edges
+    }
     quiver = {"vertices": list(vertices), "edges": edges}
-    return quiver, {"kind": "presheaf", "dims": dims, "maps": maps}
+    presheaf = {"kind": "presheaf", "dims": dims, "maps": maps}
+    return quiver, presheaf, {"kind": "representation", "dims": dict(dims), "maps": transposed}
 
 
-def corrupt(draw, quiver, presheaf):
-    """Replace one part of the inputs by a wrong value, or nothing."""
+def corrupt(draw, quiver, presheaf, representation):
+    """Replace one part of the inputs by a wrong value, or nothing; a wrong
+    part of the presheaf goes to the same place in the representation."""
     where = draw(st.sampled_from(["nothing"] * 8 + [
         "quiver", "vertex", "duplicate vertex", "edge", "edge key", "cycle",
         "presheaf", "kind", "dims", "dim", "maps", "map", "entry",
     ]))
-    edges, dims, maps = quiver["edges"], presheaf["dims"], presheaf["maps"]
+    edges = quiver["edges"]
+    functors = [presheaf, representation]
     if where == "quiver":
         quiver = draw(JUNK)
     elif where == "vertex":
@@ -71,31 +79,42 @@ def corrupt(draw, quiver, presheaf):
         e = edges[0]
         edges.append({"id": "back", "src": e["dst"], "dst": draw(st.sampled_from([e["src"], e["dst"]]))})
     elif where == "presheaf":
-        presheaf = draw(JUNK)
+        functors = [draw(JUNK)] * 2
     elif where == "kind":
-        presheaf["kind"] = draw(st.one_of(st.just("representation"), JUNK))
+        # either each file names the other's kind, or both name a junk one
+        if draw(st.booleans()):
+            presheaf["kind"], representation["kind"] = "representation", "presheaf"
+        else:
+            presheaf["kind"] = representation["kind"] = draw(JUNK)
     elif where in ("dims", "maps"):
-        presheaf[where] = draw(JUNK)
+        value = draw(JUNK)
+        for f in functors:
+            f[where] = value
     elif where == "dim":
-        dims[draw(st.sampled_from(sorted(dims)))] = draw(JUNK)
-    elif where == "map" and maps:
-        maps[draw(st.sampled_from(sorted(maps)))] = draw(JUNK)
+        v, value = draw(st.sampled_from(sorted(presheaf["dims"]))), draw(JUNK)
+        for f in functors:
+            f["dims"][v] = value
+    elif where == "map" and presheaf["maps"]:
+        e, value = draw(st.sampled_from(sorted(presheaf["maps"]))), draw(JUNK)
+        for f in functors:
+            f["maps"][e] = value
     elif where == "entry":
-        for rows in maps.values():
+        # the first entry of a nonempty map is the first of its transpose
+        value = draw(JUNK)
+        for e, rows in presheaf["maps"].items():
             if rows and rows[0]:
-                rows[0][0] = draw(JUNK)
+                rows[0][0] = representation["maps"][e][0][0] = value
                 break
-    return quiver, presheaf
+    return quiver, *functors
 
 
 @st.composite
 def cli_inputs(draw):
-    quiver, presheaf = draw(well_formed())
-    quiver, presheaf = corrupt(draw, quiver, presheaf)
+    quiver, presheaf, representation = corrupt(draw, *draw(well_formed()))
     topology = draw(st.sampled_from(TOPOLOGIES * 3 + ["graded:-1", "graded:x", "fine"]))
     limit = draw(st.sampled_from(["14"] * 6 + ["-1", "0", "3"]))
     fmt = draw(st.sampled_from(["text", "json"]))
-    return quiver, presheaf, topology, limit, fmt
+    return quiver, presheaf, representation, topology, limit, fmt
 
 
 def run(argv) -> int:
@@ -108,12 +127,19 @@ def run(argv) -> int:
 
 @settings(max_examples=200, deadline=None)
 @given(cli_inputs())
-def test_check_sheaf_and_audit_never_fail_internally(tmp_path_factory, inputs):
-    quiver, presheaf, topology, limit, fmt = inputs
+def test_every_command_never_fails_internally(tmp_path_factory, inputs):
+    quiver, presheaf, representation, topology, limit, fmt = inputs
     root = tmp_path_factory.getbasetemp()
-    q_path, p_path = root / "fuzz_quiver.json", root / "fuzz_presheaf.json"
-    q_path.write_text(json.dumps(quiver))
-    p_path.write_text(json.dumps(presheaf))
-    common = ["--quiver", str(q_path), "--topology", topology, "--sieve-limit", limit, "--format", fmt]
-    assert run(["audit"] + common) in (0, 1, 2)
-    assert run(["check-sheaf", "--presheaf", str(p_path)] + common) in (0, 1, 2)
+    q, f, v = (str(root / name) for name in ("fuzz_quiver.json", "fuzz_presheaf.json", "fuzz_rep.json"))
+    for path, value in ((q, quiver), (f, presheaf), (v, representation)):
+        with open(path, "w") as fh:
+            json.dump(value, fh)
+    decide = ["--quiver", q, "--topology", topology, "--sieve-limit", limit, "--format", fmt]
+    for argv in (
+        ["audit", *decide],
+        ["check-sheaf", "--presheaf", f, *decide],
+        ["validate", "--quiver", q, "--format", fmt],
+        ["functors", "--quiver", q, "--presheaf", f, "--presheaf", f, "--format", fmt],
+        ["dualize", "--quiver", q, "--representation", v],
+    ):
+        assert run(argv) in (0, 1, 2)

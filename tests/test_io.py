@@ -38,6 +38,16 @@ def test_rational_strings_round_trip():
             rational_from_str(bad)
 
 
+def test_rational_literals_are_ascii_without_a_trailing_newline():
+    # neither a final newline nor a non-ASCII digit belongs to a literal
+    for bad in ["3\n", "\u0663", "1/\u0662", "-\u0663/2"]:
+        with pytest.raises(ParseError):
+            rational_from_str(bad)
+    with pytest.raises(ParseError):
+        matrix_from_json([["1", "2\n"]], 1, 2)
+    assert rational_from_str("-0012/34") == Fraction(-6, 17)
+
+
 def test_matrix_round_trip():
     m = Matrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
     data = matrix_to_json(m)
